@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .laurent import split_terms
+
 INFINITE_SLOPE = math.inf
 
 _TERM = re.compile(
@@ -57,20 +59,8 @@ class BiPoly:
     @classmethod
     def parse(cls, text: str) -> "BiPoly":
         """Parse terms like ``-1 + M^24*L^2`` (whitespace-insensitive)."""
-        s = re.sub(r"\s+", "", text)
-        if not s:
-            raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls()
-        chunks = []
-        start = 0
-        for i in range(1, len(s)):
-            if s[i] in "+-" and s[i - 1] != "^":
-                chunks.append(s[start:i])
-                start = i
-        chunks.append(s[start:])
         acc: dict[tuple[int, int], int] = {}
-        for chunk in chunks:
+        for chunk in split_terms(text):
             m = _TERM.match(chunk)
             if not m or chunk in ("", "+", "-") or chunk.endswith("*"):
                 raise ValueError(f"cannot parse term {chunk!r}")
@@ -108,47 +98,6 @@ class BiPoly:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._terms.items())))
-
-    def __neg__(self) -> "BiPoly":
-        return self  # values are canonical up to sign
-
-    def __add__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            c = out.get(k, 0) + c
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
-        return BiPoly(out)
-
-    def __sub__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            c = out.get(k, 0) - c
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
-        return BiPoly(out)
-
-    def __mul__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (l1, m1), c1 in self._terms.items():
-            for (l2, m2), c2 in other._terms.items():
-                k = (l1 + l2, m1 + m2)
-                c = out.get(k, 0) + c1 * c2
-                if c:
-                    out[k] = c
-                else:
-                    out.pop(k, None)
-        return BiPoly(out)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -306,6 +255,20 @@ class DetectionResult:
     is_unknot: bool
 
 
+# Enhanced A-polynomial templates of torus knots T(a, b), one per
+# (L-degree, coefficient of the L-monomial, mirrored): degree one for
+# two-strand knots, two otherwise.  The M-power |a| * b * L-degree sits on
+# the L-monomial, or on the constant monomial for the mirror (a < 0).
+APOLY_TEMPLATES = ((1, 1, False), (1, 1, True), (2, -1, False), (2, -1, True))
+
+
+def template_terms(l_degree: int, top: int, mirrored: bool, m_exp: int) -> dict:
+    """Terms of a template with the given M-power, in normalized sign."""
+    if mirrored:
+        return {(0, m_exp): 1, (l_degree, 0): top}
+    return {(0, 0): 1, (l_degree, m_exp): top}
+
+
 def detect_torus_from_apoly(f: BiPoly) -> DetectionResult:
     """Match a BiPoly against the enhanced A-polynomial templates of torus
     knots (and the unknot's trivial polynomial)."""
@@ -316,52 +279,24 @@ def detect_torus_from_apoly(f: BiPoly) -> DetectionResult:
         return DetectionResult((), True, True)
     if len(terms) != 2:
         return DetectionResult((), False, False)
-    (k1, k2) = sorted(terms)
-    c1, c2 = terms[k1], terms[k2]
-
-    # Two-strand templates pin the knot down completely.
-    if k1 == (0, 0) and c1 == 1 and k2[0] == 1 and c2 == 1:
-        a = _half_odd(k2[1])
-        if a is not None:
-            return DetectionResult((TorusKnotSpec(a, 2),), True, False)
-        return DetectionResult((), False, False)
-    if k1[0] == 0 and c1 == 1 and k2 == (1, 0) and c2 == 1:
-        a = _half_odd(k1[1])
-        if a is not None:
-            return DetectionResult((TorusKnotSpec(-a, 2),), True, False)
-        return DetectionResult((), False, False)
-
-    # Higher templates only determine the product of the parameters.
-    if k1 == (0, 0) and c1 == 1 and k2[0] == 2 and c2 == -1:
-        prod = _half_positive(k2[1])
-        if prod is not None:
-            cands = tuple(
-                TorusKnotSpec(q, p) for p, q in coprime_factorizations(prod) if p >= 3
-            ) if prod >= 4 else ()
-            return DetectionResult(cands, len(cands) == 1, False)
-        return DetectionResult((), False, False)
-    if k1[0] == 0 and c1 == 1 and k2 == (2, 0) and c2 == -1:
-        prod = _half_positive(k1[1])
-        if prod is not None:
-            cands = tuple(
-                TorusKnotSpec(-q, p) for p, q in coprime_factorizations(prod) if p >= 3
-            ) if prod >= 4 else ()
-            return DetectionResult(cands, len(cands) == 1, False)
-        return DetectionResult((), False, False)
+    low, high = sorted(terms)
+    for l_degree, top, mirrored in APOLY_TEMPLATES:
+        m_exp = low[1] if mirrored else high[1]
+        if terms != template_terms(l_degree, top, mirrored, m_exp):
+            continue
+        # The M-power over the L-degree is |a| * b, and b = 2 exactly for
+        # the two-strand templates, which therefore pin the knot down.
+        prod, rem = divmod(m_exp, l_degree)
+        if rem or prod < 4:
+            return DetectionResult((), False, False)
+        sign = -1 if mirrored else 1
+        cands = tuple(
+            TorusKnotSpec(sign * q, p)
+            for p, q in coprime_factorizations(prod)
+            if (p == 2) == (l_degree == 1)
+        )
+        return DetectionResult(cands, len(cands) == 1, False)
     return DetectionResult((), False, False)
-
-
-def _half_odd(m: int) -> int | None:
-    # M-exponent 2a of a two-strand template: a must be odd and > 2.
-    if m > 4 and m % 2 == 0 and (m // 2) % 2 == 1:
-        return m // 2
-    return None
-
-
-def _half_positive(m: int) -> int | None:
-    if m > 0 and m % 2 == 0:
-        return m // 2
-    return None
 
 
 def detect_with_degree(f: BiPoly, alexander_degree: int) -> DetectionResult:

@@ -246,8 +246,8 @@ def _coprime_pairs(limit: int):
 
 
 @sweep.command("obstruct")
-@click.option("--a-max", type=int, default=20, show_default=True)
-@click.option("--companion-max", type=int, default=10, show_default=True)
+@click.option("--a-max", type=click.IntRange(min=3), default=20, show_default=True)
+@click.option("--companion-max", type=click.IntRange(min=3), default=10, show_default=True)
 @_domain_errors
 def sweep_obstruct(a_max: int, companion_max: int):
     """Check every torus-pattern satellite with w^2 | ab in range."""
@@ -272,7 +272,7 @@ def sweep_obstruct(a_max: int, companion_max: int):
 
 
 @sweep.command("thinness")
-@click.option("--max", "limit", type=int, default=40, show_default=True)
+@click.option("--max", "limit", type=click.IntRange(min=3), default=40, show_default=True)
 @_domain_errors
 def sweep_thinness(limit: int):
     """Check the Newton polygon of every enhanced A-polynomial in range is
@@ -303,7 +303,7 @@ def sweep_thinness(limit: int):
         sys.exit(1)
 
 
-def _glue_records(kinds, count: int, seed: int, tolerance: float):
+def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
     rng = Random(seed)
     records = []
     failures = 0
@@ -334,22 +334,23 @@ def _glue_records(kinds, count: int, seed: int, tolerance: float):
                 }
             records.append(record)
             failures += 0 if res.ok else 1
-    return records, failures
-
-
-@sweep.command("glue")
-@click.option("--per-case", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--tolerance", type=float, default=repglue.DEFAULT_TOL, show_default=True)
-@_domain_errors
-def sweep_glue(per_case: int, seed: int, tolerance: float):
-    """Randomized construct-and-verify sweep over all three gluing cases."""
-    records, failures = _glue_records(repglue.CASE_KINDS, per_case, seed, tolerance)
+    # Print only once every record is built: a domain error part way
+    # through leaves its error record as the whole output.
     for record in records:
         click.echo(_dumps(record))
     click.echo(_dumps({"summary": {"total": len(records), "failed": failures}}))
     if failures:
         sys.exit(1)
+
+
+@sweep.command("glue")
+@click.option("--per-case", type=click.IntRange(min=1), default=200, show_default=True)
+@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--tolerance", type=float, default=repglue.DEFAULT_TOL, show_default=True)
+@_domain_errors
+def sweep_glue(per_case: int, seed: int, tolerance: float):
+    """Randomized construct-and-verify sweep over all three gluing cases."""
+    _glue_sweep(repglue.CASE_KINDS, per_case, seed, tolerance)
 
 
 @main.command("glue-verify")
@@ -360,19 +361,14 @@ def sweep_glue(per_case: int, seed: int, tolerance: float):
     default="all",
     show_default=True,
 )
-@click.option("--count", type=int, default=200, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--tolerance", type=float, default=repglue.DEFAULT_TOL, show_default=True)
 @_domain_errors
 def glue_verify(case_kind: str, count: int, seed: int, tolerance: float):
     """Construct and independently verify randomized gluing instances."""
     kinds = repglue.CASE_KINDS if case_kind == "all" else (case_kind,)
-    records, failures = _glue_records(kinds, count, seed, tolerance)
-    for record in records:
-        click.echo(_dumps(record))
-    click.echo(_dumps({"summary": {"total": len(records), "failed": failures}}))
-    if failures:
-        sys.exit(1)
+    _glue_sweep(kinds, count, seed, tolerance)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,27 @@ _COEFF_TERM = re.compile(r"([+-]?)(\d+)(?:\*?t(?:\^(-?\d+))?)?\Z")
 _BARE_TERM = re.compile(r"([+-]?)t(?:\^(-?\d+))?\Z")
 
 
+def split_terms(text: str) -> list[str]:
+    """Signed term chunks of a polynomial's text, whitespace removed.
+
+    A sign starts a new chunk unless it follows ``^`` (a negative
+    exponent); the text ``0`` has no terms.
+    """
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return []
+    chunks = []
+    start = 0
+    for i in range(1, len(s)):
+        if s[i] in "+-" and s[i - 1] != "^":
+            chunks.append(s[start:i])
+            start = i
+    chunks.append(s[start:])
+    return chunks
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
@@ -66,20 +87,8 @@ class LaurentPoly:
         >>> LaurentPoly.parse("t - 1 + t^-1") == LaurentPoly({1: 1, 0: -1, -1: 1})
         True
         """
-        s = re.sub(r"\s+", "", text)
-        if not s:
-            raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls()
-        chunks = []
-        start = 0
-        for i in range(1, len(s)):
-            if s[i] in "+-" and s[i - 1] != "^":
-                chunks.append(s[start:i])
-                start = i
-        chunks.append(s[start:])
         acc: dict[int, int] = {}
-        for chunk in chunks:
+        for chunk in split_terms(text):
             m = _COEFF_TERM.match(chunk)
             if m:
                 sign, coeff, exp = m.groups()
@@ -127,6 +136,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {0}:
+            # A constant equals its int, so it must hash like it.
+            return hash(self._terms.get(0, 0))
         return hash(tuple(sorted(self._terms.items())))
 
     # ------- Ring operations -------

@@ -322,10 +322,8 @@ def sample_instance(kind: str, rng: Random, tol: float = DEFAULT_TOL) -> GlueIns
     """
     if kind == "diagonal":
         return _sample_diagonal(rng, tol)
-    if kind == "jordan_plus":
-        return _sample_jordan_plus(rng, tol)
-    if kind == "jordan_minus":
-        return _sample_jordan_minus(rng, tol)
+    if kind in _JORDAN_W:
+        return _sample_jordan(rng, tol, _JORDAN_W[kind])
     raise ValueError(f"unknown case kind {kind!r}")
 
 
@@ -364,27 +362,20 @@ def _sample_off_diagonal(rng: Random) -> complex:
     return cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
 
 
-def _sample_jordan_plus(rng: Random, tol: float) -> GlueInstance:
-    while True:
-        p, q = _sample_slope(rng)
-        eps = rng.choice((1, -1))
-        w = rng.randint(1, 6) if eps == 1 else rng.choice((1, 3, 5))
-        etas = _valid_etas(eps, p, q)
-        if not etas:
-            continue
-        eta = rng.choice(etas)
-        a_off = _sample_off_diagonal(rng)
-        b_off = -a_off * p / q
-        mu = Mat2C.upper(eps, a_off)
-        lam = Mat2C.upper(eta, b_off)
-        return glue_instance(p, q, w, mu, lam, tol)
+# Jordan cases: each sign eps of mu, mapped to the winding numbers w drawn
+# with it.  A case with a single sign never draws eps from the RNG.
+_JORDAN_W = {
+    "jordan_plus": {1: range(1, 7), -1: (1, 3, 5)},
+    "jordan_minus": {-1: (2, 4, 6)},
+}
 
 
-def _sample_jordan_minus(rng: Random, tol: float) -> GlueInstance:
+def _sample_jordan(rng: Random, tol: float, w_choices: dict) -> GlueInstance:
+    signs = tuple(w_choices)
     while True:
         p, q = _sample_slope(rng)
-        eps = -1
-        w = rng.choice((2, 4, 6))
+        eps = rng.choice(signs) if len(signs) > 1 else signs[0]
+        w = rng.choice(w_choices[eps])
         etas = _valid_etas(eps, p, q)
         if not etas:
             continue

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .apolygon import BiPoly
+from .apolygon import APOLY_TEMPLATES, BiPoly, template_terms
 from .laurent import ONE, LaurentPoly
 
 
@@ -96,14 +96,11 @@ def enhanced_apoly(k: TorusKnotSpec) -> BiPoly:
     """Enhanced A-polynomial template: degree one in L for two-strand
     knots, degree two otherwise, with the mirror moving the M-power to the
     other monomial."""
-    a, b = k.a, k.b
-    if b == 2:
-        if a > 0:
-            return BiPoly({(0, 0): 1, (1, 2 * a): 1})
-        return BiPoly({(0, -2 * a): 1, (1, 0): 1})
-    if a > 0:
-        return BiPoly({(0, 0): -1, (2, 2 * a * b): 1})
-    return BiPoly({(0, -2 * a * b): -1, (2, 0): 1})
+    l_degree = 1 if k.b == 2 else 2
+    template = next(
+        t for t in APOLY_TEMPLATES if t[0] == l_degree and t[2] == (k.a < 0)
+    )
+    return BiPoly(template_terms(*template, l_degree * abs(k.a) * k.b))
 
 
 def abelian_slope_family(k: TorusKnotSpec, n_max: int) -> tuple[list[Fraction], int]:

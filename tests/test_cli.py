@@ -215,6 +215,21 @@ class TestSweeps:
         c = runner.invoke(main, ["sweep", "glue", "--per-case", "4", "--seed", "12"]).output
         assert a != c
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "glue", "--per-case", "0"],
+            ["glue-verify", "--count", "-3"],
+            ["sweep", "obstruct", "--a-max", "2"],
+            ["sweep", "obstruct", "--companion-max", "2"],
+            ["sweep", "thinness", "--max", "2"],
+        ],
+    )
+    def test_empty_range_usage_error(self, runner, args):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2
+        assert "total" not in r.output
+
 
 class TestGlueVerify:
     def test_record_shape(self, runner):
@@ -249,6 +264,12 @@ class TestGlueVerify:
         a = runner.invoke(main, ["glue-verify", "--count", "3", "--seed", "9"]).output
         b = runner.invoke(main, ["glue-verify", "--count", "3", "--seed", "9"]).output
         assert a == b
+
+    def test_all_cases_is_sweep_glue(self, runner):
+        a = runner.invoke(main, ["glue-verify", "--count", "4", "--seed", "5"])
+        b = runner.invoke(main, ["sweep", "glue", "--per-case", "4", "--seed", "5"])
+        assert a.exit_code == b.exit_code == 0
+        assert a.stdout_bytes == b.stdout_bytes
 
     def test_bad_case_usage_error(self, runner):
         r = runner.invoke(main, ["glue-verify", "--case", "spiral"])

@@ -153,6 +153,13 @@ class TestStructure:
     def test_hash_consistent(self, f):
         assert hash(f) == hash(LaurentPoly(f.as_dict()))
 
+    @given(st.integers())
+    def test_constant_hashes_like_its_int(self, n):
+        c = LaurentPoly({0: n})
+        assert c == n
+        assert hash(c) == hash(n)
+        assert len({c, n}) == 1
+
 
 class TestExactDivide:
     @given(nonzero_polys, nonzero_polys)
