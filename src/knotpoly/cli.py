@@ -8,9 +8,13 @@ randomness, no timestamps.
 
 ``--format`` (or the KNOTPOLY_FORMAT environment variable) switches
 alexander/apoly/newton/detect between text and JSON; obstruct, sweep,
-and glue-verify always emit JSON records, one per line.  Exit codes:
-0 success, 1 domain error (with a structured {"error": ...} record),
-2 usage error.
+and glue-verify always emit JSON records, one per line.  Sweeps print
+each record as soon as it is built, then a {"summary": ...} record; a
+glue record that fails verification is printed with "ok": false, counted
+in "failed", and makes the sweep exit 1.  Exit codes: 0 success, 1 domain
+error (with a structured {"error": ...} record) or a failing verdict,
+2 usage error, 3 internal invariant failure (PredictionMismatch, with
+the same {"error": ...} record).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .laurent import LaurentPoly
 
 FORMAT_ENV = "KNOTPOLY_FORMAT"
 
-_DOMAIN_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+_DOMAIN_ERRORS = (ValueError, ArithmeticError)
 
 
 def _domain_errors(fn):
@@ -36,9 +40,9 @@ def _domain_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _DOMAIN_ERRORS as exc:
+        except (*_DOMAIN_ERRORS, satellite.PredictionMismatch) as exc:
             click.echo(_dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}}))
-            sys.exit(1)
+            sys.exit(3 if isinstance(exc, satellite.PredictionMismatch) else 1)
 
     return wrapper
 
@@ -305,12 +309,11 @@ def sweep_thinness(limit: int):
 
 def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
     rng = Random(seed)
-    records = []
     failures = 0
     for kind in kinds:
         for _ in range(count):
             inst = repglue.sample_instance(kind, rng, tolerance)
-            ext = repglue.construct_extension(inst, tolerance)
+            ext = repglue.construct_extension(inst)
             res = repglue.verify_extension(inst, ext, tolerance)
             record = {
                 "case": kind,
@@ -332,13 +335,9 @@ def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
                     "phi": polar["phi"],
                     "m": polar["m"],
                 }
-            records.append(record)
+            click.echo(_dumps(record))
             failures += 0 if res.ok else 1
-    # Print only once every record is built: a domain error part way
-    # through leaves its error record as the whole output.
-    for record in records:
-        click.echo(_dumps(record))
-    click.echo(_dumps({"summary": {"total": len(records), "failed": failures}}))
+    click.echo(_dumps({"summary": {"total": len(kinds) * count, "failed": failures}}))
     if failures:
         sys.exit(1)
 

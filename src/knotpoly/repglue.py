@@ -13,8 +13,10 @@ and a winding number w, the construction produces peripheral images
 Three construction cases, keyed by the Jordan shape of mu and the parity
 of w: diagonal (eigenvalue not +-1), jordan_plus (unipotent up to a sign
 eps with eps^w = eps), jordan_minus (eigenvalue -1 with even w, which
-needs a central character twist).  Everything is double precision; checks
-compare max-norm residuals against a configurable tolerance.
+needs a central character twist).  Everything is double precision.
+construct_extension only builds (mu_P, lam_P); verify_extension is the one
+check, comparing the max-norm residuals of the three equations against a
+configurable absolute tolerance.
 """
 
 from __future__ import annotations
@@ -129,14 +131,13 @@ class GlueInstance:
 
 @dataclass(frozen=True)
 class Extension:
-    """Constructed satellite peripheral images with the residuals of the
-    three defining equations (root, longitude power, surgery relation)."""
+    """Constructed satellite peripheral images, unchecked until
+    verify_extension computes their residuals."""
 
     mu_p: Mat2C
     lam_p: Mat2C
     central_twist_used: bool
     chosen_k: int | None
-    residuals: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -253,9 +254,9 @@ def diagonal_polar_data(g: GlueInstance) -> dict:
     }
 
 
-def construct_extension(g: GlueInstance, tol: float = DEFAULT_TOL) -> Extension:
-    """Build the satellite peripheral images for a classified instance and
-    check the three defining equations against the tolerance."""
+def construct_extension(g: GlueInstance) -> Extension:
+    """Build the satellite peripheral images for a classified instance.
+    Nothing is checked here; verify_extension does that."""
     case = g.pair.case
     if case.kind == "diagonal":
         data = diagonal_polar_data(g)
@@ -265,44 +266,32 @@ def construct_extension(g: GlueInstance, tol: float = DEFAULT_TOL) -> Extension:
         lam_w = case.beta ** g.w
         lam_p = Mat2C.diagonal(lam_w, 1 / lam_w)
         twist = False
-    elif case.kind == "jordan_plus":
-        mu_p = Mat2C.upper(case.eps, case.a_off / g.w)
+    elif case.kind in ("jordan_plus", "jordan_minus"):
+        # jordan_minus has eps = -1 and even w: the central twist turns the
+        # sign of mu_p into 1, and eta^w is 1 already.
+        twist = case.kind == "jordan_minus"
+        mu_p = Mat2C.upper(1 if twist else case.eps, case.a_off / g.w)
         lam_p = Mat2C.upper(case.eta ** g.w, case.b_off * g.w)
         k = None
-        twist = False
-    elif case.kind == "jordan_minus":
-        mu_p = Mat2C.upper(1, case.a_off / g.w)
-        lam_p = Mat2C.upper(1, case.b_off * g.w)
-        k = None
-        twist = True
     else:
         raise ValueError(f"unknown case kind {case.kind!r}")
-    residuals = _equation_residuals(g, mu_p, lam_p, twist)
-    if max(residuals) > tol:
-        raise ArithmeticError(
-            f"construction residuals {residuals} exceed tolerance {tol:g}"
-        )
-    return Extension(mu_p, lam_p, twist, k, residuals)
-
-
-def _equation_residuals(
-    g: GlueInstance, mu_p: Mat2C, lam_p: Mat2C, twist: bool
-) -> tuple[float, float, float]:
-    mu_target = g.pair.mu.scaled(-1) if twist else g.pair.mu
-    r1 = (mu_p ** g.w).dist(mu_target)
-    r2 = lam_p.dist(g.pair.lam ** g.w)
-    e1 = g.p * (g.w * g.w // g.d)
-    e2 = g.q // g.d
-    r3 = ((mu_p ** e1) * (lam_p ** e2)).dist(Mat2C.identity())
-    return (r1, r2, r3)
+    return Extension(mu_p, lam_p, twist, k)
 
 
 def verify_extension(
     g: GlueInstance, e: Extension, tol: float = DEFAULT_TOL
 ) -> VerifyResult:
-    """Recompute the three defining equations from the emitted matrices
-    alone (fresh binary-exponentiation powers) and compare to tol."""
-    residuals = _equation_residuals(g, e.mu_p, e.lam_p, e.central_twist_used)
+    """Compute the max-norm residuals of the three defining equations from
+    the emitted matrices alone (binary-exponentiation powers) and compare
+    each to tol.  This is the only check of a constructed extension."""
+    mu_target = g.pair.mu.scaled(-1) if e.central_twist_used else g.pair.mu
+    e1 = g.p * (g.w * g.w // g.d)
+    e2 = g.q // g.d
+    residuals = (
+        (e.mu_p ** g.w).dist(mu_target),
+        e.lam_p.dist(g.pair.lam ** g.w),
+        ((e.mu_p ** e1) * (e.lam_p ** e2)).dist(Mat2C.identity()),
+    )
     for i, r in enumerate(residuals, start=1):
         if r > tol:
             return VerifyResult(False, residuals, failed_equation=i, residual=r)
@@ -317,8 +306,12 @@ CASE_KINDS = ("diagonal", "jordan_plus", "jordan_minus")
 def sample_instance(kind: str, rng: Random, tol: float = DEFAULT_TOL) -> GlueInstance:
     """Draw a random valid instance of the given construction case.
 
-    Magnitudes and exponents are kept small enough that double precision
-    holds the equation residuals far below the default tolerance.
+    Magnitudes and exponents are small (|p| <= 9, q <= 9, w <= 6), but that
+    does not keep every residual below the default absolute tolerance:
+    diagonal draws with |p| >= 8, q = 1 and w = 6 have lam^w entries of 1e6
+    to 1e7, and the longitude equation (2) can then miss 1e-9 (9 of 120,000
+    diagonal draws under Random(0) to Random(59); the 79th draw of
+    `glue-verify --case diagonal --seed 184` is one).  No Jordan draw did.
     """
     if kind == "diagonal":
         return _sample_diagonal(rng, tol)

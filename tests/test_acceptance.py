@@ -210,7 +210,6 @@ def test_criterion_9_glue_residuals_and_perturbations():
                         lam_p=bumped if target == "lam_p" else e.lam_p,
                         central_twist_used=e.central_twist_used,
                         chosen_k=e.chosen_k,
-                        residuals=e.residuals,
                     )
                     total_perturbed += 1
                     if not verify_extension(g, mutated).ok:

@@ -6,6 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from knotpoly import repglue, satellite
 from knotpoly.cli import main
 
 
@@ -178,6 +179,19 @@ class TestObstruct:
         r = runner.invoke(main, ["obstruct", "--a", "9", "--b", "2", "--w", "3"])
         assert r.exit_code == 2
 
+    def test_prediction_mismatch_exits_3(self, runner, monkeypatch):
+        def mismatch(*args):
+            raise satellite.PredictionMismatch("predicted coefficient absent")
+
+        monkeypatch.setattr(satellite, "winding_violation", mismatch)
+        r = runner.invoke(
+            main, ["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(3,2)"]
+        )
+        assert r.exit_code == 3
+        assert json.loads(r.output) == {
+            "error": {"kind": "PredictionMismatch", "detail": "predicted coefficient absent"}
+        }
+
 
 class TestSweeps:
     def test_thinness_sweep(self, runner):
@@ -274,3 +288,32 @@ class TestGlueVerify:
     def test_bad_case_usage_error(self, runner):
         r = runner.invoke(main, ["glue-verify", "--case", "spiral"])
         assert r.exit_code == 2
+
+    def test_failing_record_is_reported_not_aborted(self, runner):
+        # Record 79 (|p| = 9, q = 1, w = 6) breaks the absolute tolerance in
+        # the longitude equation; the sweep reports it and carries on.
+        r = runner.invoke(main, ["glue-verify", "--case", "diagonal", "--count", "79", "--seed", "184"])
+        assert r.exit_code == 1
+        recs = [json.loads(x) for x in lines(r)]
+        assert len(recs) == 80
+        assert recs[-1] == {"summary": {"total": 79, "failed": 1}}
+        assert all(rec["ok"] for rec in recs[:78])
+        assert recs[78]["ok"] is False and recs[78]["residuals"][1] > 1e-9
+
+    def test_records_stream_before_an_error(self, runner, monkeypatch):
+        sample = repglue.sample_instance
+        calls = []
+
+        def third_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError("sampler failed")
+            return sample(*args)
+
+        monkeypatch.setattr(repglue, "sample_instance", third_call_fails)
+        r = runner.invoke(main, ["glue-verify", "--case", "diagonal", "--count", "5"])
+        assert r.exit_code == 1
+        recs = [json.loads(x) for x in lines(r)]
+        assert len(recs) == 3
+        assert all(rec["case"] == "diagonal" and rec["ok"] for rec in recs[:2])
+        assert recs[2] == {"error": {"kind": "ValueError", "detail": "sampler failed"}}
