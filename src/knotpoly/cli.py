@@ -208,12 +208,7 @@ def _witness_json(check: satellite.WindingCheck):
 def _obstruction_record(a: int, b: int, w: int, companion: LaurentPoly, label: str) -> tuple[dict, str]:
     result = satellite.torus_satellite_obstruction(a, b, w, companion)
     record = {"a": a, "b": b, "w": w, "companion": label, "verdict": result.verdict}
-    if result.verdict == "obstructed":
-        record["witness"] = _witness_json(result.violation)
-    elif result.verdict == "config_impossible":
-        record["reason"] = result.reason
-    else:
-        record["witness"] = None
+    record["witness"] = _witness_json(result.violation) if result.violation else None
     return record, result.verdict
 
 
@@ -312,7 +307,7 @@ def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
     failures = 0
     for kind in kinds:
         for _ in range(count):
-            inst = repglue.sample_instance(kind, rng, tolerance)
+            inst = repglue.sample_instance(kind, rng)
             ext = repglue.construct_extension(inst)
             res = repglue.verify_extension(inst, ext, tolerance)
             record = {

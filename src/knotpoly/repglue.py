@@ -303,8 +303,9 @@ def verify_extension(
 CASE_KINDS = ("diagonal", "jordan_plus", "jordan_minus")
 
 
-def sample_instance(kind: str, rng: Random, tol: float = DEFAULT_TOL) -> GlueInstance:
-    """Draw a random valid instance of the given construction case.
+def sample_instance(kind: str, rng: Random) -> GlueInstance:
+    """Draw a random valid instance of the given construction case; the
+    draw is validated at DEFAULT_TOL, whatever tolerance later verifies it.
 
     Magnitudes and exponents are small (|p| <= 9, q <= 9, w <= 6), but that
     does not keep every residual below the default absolute tolerance:
@@ -314,9 +315,9 @@ def sample_instance(kind: str, rng: Random, tol: float = DEFAULT_TOL) -> GlueIns
     `glue-verify --case diagonal --seed 184` is one).  No Jordan draw did.
     """
     if kind == "diagonal":
-        return _sample_diagonal(rng, tol)
+        return _sample_diagonal(rng)
     if kind in _JORDAN_W:
-        return _sample_jordan(rng, tol, _JORDAN_W[kind])
+        return _sample_jordan(rng, _JORDAN_W[kind])
     raise ValueError(f"unknown case kind {kind!r}")
 
 
@@ -328,7 +329,7 @@ def _sample_slope(rng: Random) -> tuple[int, int]:
             return p, q
 
 
-def _sample_diagonal(rng: Random, tol: float) -> GlueInstance:
+def _sample_diagonal(rng: Random) -> GlueInstance:
     while True:
         p, q = _sample_slope(rng)
         w = rng.randint(1, 6)
@@ -342,7 +343,7 @@ def _sample_diagonal(rng: Random, tol: float) -> GlueInstance:
         beta = cmath.exp((-p * log_alpha + 2j * math.pi * j) / q)
         mu = Mat2C.diagonal(alpha, 1 / alpha)
         lam = Mat2C.diagonal(beta, 1 / beta)
-        return glue_instance(p, q, w, mu, lam, tol)
+        return glue_instance(p, q, w, mu, lam)
 
 
 def _valid_etas(eps: int, p: int, q: int) -> list[int]:
@@ -363,7 +364,7 @@ _JORDAN_W = {
 }
 
 
-def _sample_jordan(rng: Random, tol: float, w_choices: dict) -> GlueInstance:
+def _sample_jordan(rng: Random, w_choices: dict) -> GlueInstance:
     signs = tuple(w_choices)
     while True:
         p, q = _sample_slope(rng)
@@ -377,4 +378,4 @@ def _sample_jordan(rng: Random, tol: float, w_choices: dict) -> GlueInstance:
         b_off = -a_off * p / q
         mu = Mat2C.upper(eps, a_off)
         lam = Mat2C.upper(eta, b_off)
-        return glue_instance(p, q, w, mu, lam, tol)
+        return glue_instance(p, q, w, mu, lam)

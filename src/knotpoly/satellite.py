@@ -63,7 +63,7 @@ def _require_symmetrized(poly: LaurentPoly, label: str) -> None:
         raise ValueError(f"{label} must be nonzero")
     if poly != poly.mirror():
         raise ValueError(f"{label} must be symmetrized (equal to its mirror)")
-    if sum(c for _, c in poly.items()) <= 0:
+    if sum(poly.as_dict().values()) <= 0:
         raise ValueError(f"{label} must be positive at t = 1")
 
 
@@ -193,13 +193,11 @@ def winding_violation(a: int, b: int, w: int, companion: LaurentPoly) -> Winding
 
 @dataclass(frozen=True)
 class ObstructionResult:
-    """verdict is obstructed (with the witnessing WindingCheck),
-    config_impossible (the arithmetic preconditions cannot coexist), or
-    not_obstructed."""
+    """verdict is obstructed (with the witnessing WindingCheck) or
+    not_obstructed (no violation; the sweeps exist to rule it out)."""
 
     verdict: str
     violation: WindingCheck | None = None
-    reason: str | None = None
 
 
 def torus_satellite_obstruction(
@@ -207,24 +205,15 @@ def torus_satellite_obstruction(
 ) -> ObstructionResult:
     """Decide whether a winding-w satellite with pattern T(a, b) and the
     given companion polynomial is obstructed from instanton L-space
-    surgeries, under the divisibility hypothesis w^2 | ab."""
+    surgeries, under the divisibility hypothesis w^2 | ab.  The companion
+    is checked (admissible, genus >= 1) once, by winding_violation."""
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or w < 1:
         raise ValueError(f"winding number must be an integer >= 1, got {w!r}")
     if (a * b) % (w * w) != 0:
         raise ValueError(f"w^2 = {w * w} does not divide ab = {a * b}")
-    _check_companion(companion)
-    if w >= a:
-        # w^2 | ab and w >= a would force ab >= w^2 >= a^2 > ab.
-        return ObstructionResult(
-            "config_impossible", reason=f"w = {w} >= a = {a} contradicts w^2 | ab"
-        )
-    if w % b == 0:
-        # ab = k w^2 with b | w would force b | a against coprimality.
-        return ObstructionResult(
-            "config_impossible",
-            reason=f"b = {b} divides w = {w}, which would force b | a",
-        )
+    # w^2 | ab with a > b coprime forces w < a (else ab >= w^2 >= a^2 > ab)
+    # and b not dividing w (else b^2 | ab, so b | a).
     check = winding_violation(a, b, w, companion)
     if check.kind == "no_violation":
         return ObstructionResult("not_obstructed")

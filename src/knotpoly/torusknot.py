@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .apolygon import APOLY_TEMPLATES, BiPoly, template_terms
-from .laurent import ONE, LaurentPoly
+from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,25 @@ def genus(k: TorusKnotSpec) -> int:
 
 
 def alexander(k: TorusKnotSpec) -> LaurentPoly:
-    """Symmetrized Alexander polynomial, computed by exact division of
-    (t^{pq} - 1)(t - 1) by (t^p - 1)(t^q - 1); mirrors share it."""
+    """Symmetrized Alexander polynomial (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1));
+    mirrors share it.
+
+    Each nonzero term is written once, with its final sign, by the closed
+    form of T. Y. Lam and K. H. Leung, "On the cyclotomic polynomial
+    Phi_pq(X)", Amer. Math. Monthly 103 (1996): take r, s >= 0 with
+    rp + sq = 2g (g the genus); the terms are +t^{ip + jq - g} for
+    0 <= i <= r, 0 <= j <= s, and -t^{ip + jq - pq - g} for r < i < q,
+    s < j < p.
+    """
     p, q = abs(k.a), k.b
-    t = LaurentPoly.monomial
-    numerator = (t(p * q) - ONE) * (t(1) - ONE)
-    denominator = (t(p) - ONE) * (t(q) - ONE)
-    return numerator.exact_divide(denominator).symmetrize()
+    g = genus(k)
+    r = (pow(p, -1, q) - 1) % q
+    s = (2 * g - r * p) // q
+    terms = {i * p + j * q - g: 1 for i in range(r + 1) for j in range(s + 1)}
+    terms.update(
+        (i * p + j * q - p * q - g, -1) for i in range(r + 1, q) for j in range(s + 1, p)
+    )
+    return LaurentPoly(terms)
 
 
 def leading_form(k: TorusKnotSpec) -> LaurentPoly:

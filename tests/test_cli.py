@@ -300,6 +300,25 @@ class TestGlueVerify:
         assert all(rec["ok"] for rec in recs[:78])
         assert recs[78]["ok"] is False and recs[78]["residuals"][1] > 1e-9
 
+    @pytest.mark.parametrize(
+        "tolerance, code, failed", [("1e-15", 1, 369), ("0.1", 0, 0)]
+    )
+    def test_tolerance_only_verifies(self, runner, tolerance, code, failed):
+        # The samplers validate their draws at the default tolerance, so a
+        # tight or loose --tolerance changes verdicts, never the draws.
+        args = ["glue-verify", "--count", "300", "--seed", "7", "--tolerance", tolerance]
+        r = runner.invoke(main, args)
+        assert r.exit_code == code
+        recs = [json.loads(x) for x in lines(r)]
+        assert len(recs) == 901
+        assert recs[-1] == {"summary": {"total": 900, "failed": failed}}
+        assert sum(not rec["ok"] for rec in recs[:-1]) == failed
+        default = runner.invoke(main, ["glue-verify", "--count", "300", "--seed", "7"])
+        drawn = ("case", "p", "q", "w", "d", "k", "central_twist", "residuals")
+        assert [{k: rec[k] for k in drawn} for rec in recs[:-1]] == [
+            {k: rec[k] for k in drawn} for rec in map(json.loads, lines(default)[:-1])
+        ]
+
     def test_records_stream_before_an_error(self, runner, monkeypatch):
         sample = repglue.sample_instance
         calls = []

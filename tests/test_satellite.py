@@ -250,6 +250,10 @@ class TestObstruction:
         with pytest.raises(ValueError):
             torus_satellite_obstruction(5, 2, 2, TREFOIL)
 
+    def test_rejects_inadmissible_companion(self):
+        with pytest.raises(ValueError, match="must be admissible"):
+            torus_satellite_obstruction(9, 2, 3, TREFOIL * TREFOIL)
+
     def test_full_sweep_never_not_obstructed(self):
         from math import gcd
 
@@ -261,6 +265,8 @@ class TestObstruction:
                 for w in range(1, a):
                     if (a * b) % (w * w):
                         continue
+                    # the arithmetic that leaves no impossible configuration
+                    assert w < a and w % b, (a, b, w)
                     r = torus_satellite_obstruction(a, b, w, TREFOIL)
                     assert r.verdict == "obstructed", (a, b, w, r.verdict)
                     seen += 1

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knotpoly.apolygon import BiPoly
+from knotpoly.laurent import ONE, LaurentPoly
 from knotpoly.torusknot import (
     TorusKnotSpec,
     abelian_slope_family,
@@ -88,10 +89,18 @@ class TestAlexander:
         }
 
     def test_matches_oracle_sweep(self):
-        for p, q in coprime_pairs(12):
+        for p, q in [*coprime_pairs(30), (64, 45), (97, 94), (100, 3)]:
             assert alexander(TorusKnotSpec(p, q)).as_dict() == oracles.torus_alexander_oracle(
                 p, q
             ), (p, q)
+
+    def test_matches_exact_division_large(self):
+        # The benchmark's large shape T(p, p - 3), past what the dense
+        # oracle reaches quickly.
+        p, q = 320, 317
+        t = LaurentPoly.monomial
+        quotient = ((t(p * q) - ONE) * (t(1) - ONE)).exact_divide((t(p) - ONE) * (t(q) - ONE))
+        assert alexander(TorusKnotSpec(p, q)) == quotient.symmetrize()
 
     def test_mirror_invariance(self):
         for spec in [(3, 2), (-3, 2), (5, 3), (-7, 4)]:
