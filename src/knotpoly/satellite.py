@@ -147,28 +147,35 @@ def winding_violation(a: int, b: int, w: int, companion: LaurentPoly) -> Winding
     """Locate the admissibility violation that the residue of w mod b
     forces in alexander(T(a, b))(t) * companion(t^w).
 
-    The classification is verified against the actual product coefficients;
-    any disagreement raises PredictionMismatch.  Requires a > b >= 2
-    coprime, 1 <= w < a, and an admissible companion of genus >= 1.
+    The classification is verified against the product's coefficients:
+    when w is a multiple of b the full product is built and scanned,
+    otherwise each witness coefficient is computed exactly from the
+    pattern and companion terms.  Any disagreement raises
+    PredictionMismatch.  Requires a > b >= 2 coprime, 1 <= w < a, and an
+    admissible companion of genus >= 1.
     """
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or not 1 <= w < a:
         raise ValueError(f"winding number must satisfy 1 <= w < a, got {w!r}")
     h = _check_companion(companion)
     g = (a - 1) * (b - 1) // 2
-    product = alexander(TorusKnotSpec(a, b)) * companion.dilate(w)
+    pattern = alexander(TorusKnotSpec(a, b))
 
     r = w % b
     if r == 0:
-        scan = lspace_admissible(product)
+        scan = lspace_admissible(pattern * companion.dilate(w))
         if scan.verdict != "admissible":
             raise PredictionMismatch(
                 f"w = {w} is a multiple of {b} but the product scans {scan.verdict}"
             )
         return WindingCheck("no_violation")
+
+    def coefficient(e: int) -> int:
+        return sum(c * pattern.coefficient(e - w * k) for k, c in companion.items())
+
     if r == 1:
         e = g + h * w - w
-        c = product.coefficient(e)
+        c = coefficient(e)
         if abs(c) != 2:
             raise PredictionMismatch(
                 f"expected a coefficient of magnitude 2 at exponent {e}, found {c}"
@@ -176,13 +183,13 @@ def winding_violation(a: int, b: int, w: int, companion: LaurentPoly) -> Winding
         return WindingCheck("magnitude_violation", exponent=e, coefficient=c)
     e1 = g + h * w - (w // b) * b - 1
     e2 = g + h * w - w
-    c1 = product.coefficient(e1)
-    c2 = product.coefficient(e2)
+    c1 = coefficient(e1)
+    c2 = coefficient(e2)
     if c1 == 0 or c2 == 0 or (c1 > 0) != (c2 > 0):
         raise PredictionMismatch(
             f"expected same-sign coefficients at exponents {e1}, {e2}; found {c1}, {c2}"
         )
-    if any(product.coefficient(e) for e in range(e2 + 1, e1)):
+    if any(coefficient(e) for e in range(e2 + 1, e1)):
         raise PredictionMismatch(
             f"expected no nonzero coefficients strictly between {e2} and {e1}"
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .apolygon import APOLY_TEMPLATES, BiPoly, template_terms
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _raw
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def alexander(k: TorusKnotSpec) -> LaurentPoly:
     terms.update(
         (i * p + j * q - p * q - g, -1) for i in range(r + 1, q) for j in range(s + 1, p)
     )
-    return LaurentPoly(terms)
+    return _raw(terms)
 
 
 def leading_form(k: TorusKnotSpec) -> LaurentPoly:

@@ -2,10 +2,15 @@
 environment-variable defaults, and run-to-run determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import knotpoly
 from knotpoly import repglue, satellite
 from knotpoly.cli import main
 
@@ -336,3 +341,15 @@ class TestGlueVerify:
         assert len(recs) == 3
         assert all(rec["case"] == "diagonal" and rec["ok"] for rec in recs[:2])
         assert recs[2] == {"error": {"kind": "ValueError", "detail": "sampler failed"}}
+
+
+class TestModuleEntry:
+    def test_python_m_help(self):
+        src = str(Path(knotpoly.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        r = subprocess.run(
+            [sys.executable, "-m", "knotpoly", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 0, r.stderr
+        assert "sweep" in r.stdout

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotpoly import satellite
 from knotpoly.laurent import LaurentPoly
 from knotpoly.satellite import (
     PredictionMismatch,
@@ -190,28 +191,63 @@ class TestWindingViolation:
         assert v.exponent == genus(TorusKnotSpec(3, 2)) + 1 - 1
 
     def test_witness_against_dense_product(self):
-        # witness values must be actual coefficients of the product
-        for a, b, w, comp in [
-            (7, 2, 3, (3, 2)),
-            (5, 3, 2, (3, 2)),
-            (9, 2, 5, (5, 2)),
-            (8, 3, 4, (4, 3)),
-            (11, 4, 2, (3, 2)),
-        ]:
-            v = winding_violation(a, b, w, torus_poly(*comp))
-            product = oracles.mul_dicts(
-                oracles.torus_alexander_oracle(a, b),
-                oracles.dilate_dict(oracles.torus_alexander_oracle(*comp), w),
-            )
-            if v.kind == "magnitude_violation":
-                assert product[v.exponent] == v.coefficient
-                assert abs(v.coefficient) == 2
-            else:
-                e1, e2 = v.exponent_pair
-                c1, c2 = v.coefficients
-                assert product[e1] == c1 and product[e2] == c2
-                assert c1 * c2 > 0
-                assert all(product.get(e, 0) == 0 for e in range(e2 + 1, e1))
+        # witness values must be actual coefficients of the product, for
+        # every pattern T(a, b) with a <= 12 and every w with w % b != 0
+        from math import gcd
+
+        seen = 0
+        for comp in [(3, 2), (5, 2), (4, 3), (5, 3)]:
+            companion = torus_poly(*comp)
+            comp_dense = oracles.torus_alexander_oracle(*comp)
+            for a in range(3, 13):
+                for b in range(2, a):
+                    if gcd(a, b) != 1:
+                        continue
+                    pattern_dense = oracles.torus_alexander_oracle(a, b)
+                    for w in range(1, a):
+                        if w % b == 0:
+                            continue
+                        v = winding_violation(a, b, w, companion)
+                        product = oracles.mul_dicts(
+                            pattern_dense, oracles.dilate_dict(comp_dense, w)
+                        )
+                        where = (a, b, w, comp)
+                        if w % b == 1:
+                            assert v.kind == "magnitude_violation", where
+                            assert product[v.exponent] == v.coefficient, where
+                            assert abs(v.coefficient) == 2, where
+                        else:
+                            assert v.kind == "same_sign_violation", where
+                            e1, e2 = v.exponent_pair
+                            c1, c2 = v.coefficients
+                            assert product[e1] == c1 and product[e2] == c2, where
+                            assert c1 * c2 > 0, where
+                            assert all(
+                                product.get(e, 0) == 0 for e in range(e2 + 1, e1)
+                            ), where
+                        seen += 1
+        assert seen > 500
+
+    @pytest.mark.parametrize(
+        "a,b,w,e,match",
+        [
+            (7, 2, 3, 3, "magnitude 2"),  # r == 1: the magnitude witness
+            (5, 3, 2, 5, "same-sign"),  # r >= 2: the higher witness e1
+            (5, 3, 2, 4, "same-sign"),  # r >= 2: the lower witness e2
+            (7, 4, 3, 10, "strictly between"),  # r >= 2: the gap scan
+        ],
+    )
+    def test_perturbed_pattern_raises(self, monkeypatch, a, b, w, e, match):
+        # Subtracting t^e from the pattern adds 1 to the product's
+        # coefficient at e (TREFOIL's constant term is -1), so the witness
+        # computed from the terms must disagree with the prediction.
+        assert winding_violation(a, b, w, TREFOIL).kind != "no_violation"
+        real = satellite.alexander
+        monkeypatch.setattr(
+            satellite, "alexander", lambda k: real(k) - LaurentPoly.monomial(e)
+        )
+        with pytest.raises(PredictionMismatch, match=match):
+            winding_violation(a, b, w, TREFOIL)
 
     @pytest.mark.parametrize(
         "a,b,w",
