@@ -8,105 +8,80 @@ verified peripheral-curve gluing construction for SL(2, C)
 representations.
 """
 
-from .apolygon import (
-    INFINITE_SLOPE,
-    BiPoly,
-    DetectionResult,
-    NewtonPolygon,
-    ThinnessResult,
-    coprime_factorizations,
-    detect_torus_from_apoly,
-    detect_with_degree,
-    detectability,
-    edge_boundary_slopes,
-    newton_polygon,
-    thinness,
-)
-from .laurent import LaurentPoly, NonExactDivision, NotSymmetrizable
-from .repglue import (
-    DEFAULT_TOL,
-    Extension,
-    GlueInstance,
-    Mat2C,
-    PeripheralPair,
-    VerifyResult,
-    choose_k,
-    classify_case,
-    construct_extension,
-    diagonal_polar_data,
-    glue_instance,
-    sample_instance,
-    verify_extension,
-)
-from .satellite import (
-    AdmissibilityReport,
-    ObstructionResult,
-    PredictionMismatch,
-    SatelliteSpec,
-    WindingCheck,
-    lspace_admissible,
-    satellite_alexander,
-    satellite_genus,
-    torus_satellite_obstruction,
-    winding_violation,
-)
-from .torusknot import (
-    TorusKnotSpec,
-    abelian_slope_family,
-    alexander,
-    enhanced_apoly,
-    genus,
-    leading_form,
-    parse_spec,
-)
+import importlib
 
-__all__ = [
-    "INFINITE_SLOPE",
-    "BiPoly",
-    "DetectionResult",
-    "NewtonPolygon",
-    "ThinnessResult",
-    "coprime_factorizations",
-    "detect_torus_from_apoly",
-    "detect_with_degree",
-    "detectability",
-    "edge_boundary_slopes",
-    "newton_polygon",
-    "thinness",
-    "LaurentPoly",
-    "NonExactDivision",
-    "NotSymmetrizable",
-    "DEFAULT_TOL",
-    "Extension",
-    "GlueInstance",
-    "Mat2C",
-    "PeripheralPair",
-    "VerifyResult",
-    "choose_k",
-    "classify_case",
-    "construct_extension",
-    "diagonal_polar_data",
-    "glue_instance",
-    "sample_instance",
-    "verify_extension",
-    "AdmissibilityReport",
-    "ObstructionResult",
-    "PredictionMismatch",
-    "SatelliteSpec",
-    "WindingCheck",
-    "lspace_admissible",
-    "satellite_alexander",
-    "satellite_genus",
-    "torus_satellite_obstruction",
-    "winding_violation",
-    "TorusKnotSpec",
-    "abelian_slope_family",
-    "alexander",
-    "enhanced_apoly",
-    "genus",
-    "leading_form",
-    "parse_spec",
-    "__version__",
-]
+# Each public name, by the submodule that defines it.  The submodules are
+# imported on first access (PEP 562), so importing the package, or the
+# CLI for one command, loads only what is used.
+_EXPORTS = {
+    "apolygon": (
+        "INFINITE_SLOPE",
+        "BiPoly",
+        "DetectionResult",
+        "NewtonPolygon",
+        "ThinnessResult",
+        "coprime_factorizations",
+        "detect_torus_from_apoly",
+        "detect_with_degree",
+        "detectability",
+        "edge_boundary_slopes",
+        "newton_polygon",
+        "thinness",
+    ),
+    "laurent": ("LaurentPoly", "NonExactDivision", "NotSymmetrizable"),
+    "repglue": (
+        "DEFAULT_TOL",
+        "Extension",
+        "GlueInstance",
+        "Mat2C",
+        "PeripheralPair",
+        "VerifyResult",
+        "choose_k",
+        "classify_case",
+        "construct_extension",
+        "diagonal_polar_data",
+        "glue_instance",
+        "sample_instance",
+        "verify_extension",
+    ),
+    "satellite": (
+        "AdmissibilityReport",
+        "CheckedCompanion",
+        "ObstructionResult",
+        "PredictionMismatch",
+        "SatelliteSpec",
+        "WindingCheck",
+        "check_companion",
+        "lspace_admissible",
+        "satellite_alexander",
+        "satellite_genus",
+        "torus_satellite_obstruction",
+        "winding_violation",
+    ),
+    "torusknot": (
+        "TorusKnotSpec",
+        "abelian_slope_family",
+        "alexander",
+        "enhanced_apoly",
+        "genus",
+        "leading_form",
+        "parse_spec",
+        "torus_coefficient",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [*_HOME, "__version__"]
 
 __version__ = "0.1.0"

@@ -318,9 +318,7 @@ def detectability(k) -> bool:
     """Whether the enhanced A-polynomial alone pins down this torus knot:
     true for two-strand knots and whenever both parameters are prime powers."""
     a, b = abs(k.a), k.b
-    if b == 2 or a == 2:
-        return True
-    return _is_prime_power(a) and _is_prime_power(b)
+    return b == 2 or (_is_prime_power(a) and _is_prime_power(b))
 
 
 def _is_prime_power(n: int) -> bool:

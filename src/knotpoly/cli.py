@@ -23,14 +23,23 @@ import functools
 import json
 import math
 import sys
-from random import Random
+from typing import TYPE_CHECKING
 
 import click
 
-from . import apolygon, repglue, satellite, torusknot
-from .laurent import LaurentPoly
+if TYPE_CHECKING:
+    from .laurent import LaurentPoly
+    from .satellite import CheckedCompanion, WindingCheck
+    from .torusknot import TorusKnotSpec
 
 FORMAT_ENV = "KNOTPOLY_FORMAT"
+
+# Each command imports the modules it uses, so a query starts without the
+# rest.  The glue options are declared with repglue.CASE_KINDS and
+# repglue.DEFAULT_TOL copied here (a test keeps them equal), so that
+# declaring them does not import repglue.
+_GLUE_CASES = ("diagonal", "jordan_plus", "jordan_minus")
+_GLUE_TOL = 1e-9
 
 _DOMAIN_ERRORS = (ValueError, ArithmeticError)
 
@@ -40,9 +49,16 @@ def _domain_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (*_DOMAIN_ERRORS, satellite.PredictionMismatch) as exc:
+        except (*_DOMAIN_ERRORS, RuntimeError) as exc:
+            if isinstance(exc, RuntimeError):
+                # PredictionMismatch is the one RuntimeError reported; importing
+                # it here keeps satellite out of the commands that never load it
+                from .satellite import PredictionMismatch
+
+                if not isinstance(exc, PredictionMismatch):
+                    raise
             click.echo(_dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}}))
-            sys.exit(3 if isinstance(exc, satellite.PredictionMismatch) else 1)
+            sys.exit(1 if isinstance(exc, _DOMAIN_ERRORS) else 3)
 
     return wrapper
 
@@ -63,12 +79,14 @@ def _format_option(fn):
     )(fn)
 
 
-def _spec_json(k: torusknot.TorusKnotSpec) -> dict:
+def _spec_json(k: TorusKnotSpec) -> dict:
     return {"a": k.a, "b": k.b}
 
 
 def _slope_str(s) -> str:
-    return "inf" if s == apolygon.INFINITE_SLOPE else str(s)
+    from .apolygon import INFINITE_SLOPE
+
+    return "inf" if s == INFINITE_SLOPE else str(s)
 
 
 @click.group()
@@ -82,6 +100,8 @@ def main():
 @_domain_errors
 def alexander(knot: str, fmt: str):
     """Symmetrized Alexander polynomial of a torus knot T(a,b)."""
+    from . import torusknot
+
     k = torusknot.parse_spec(knot)
     poly = torusknot.alexander(k)
     if fmt == "text":
@@ -104,6 +124,8 @@ def alexander(knot: str, fmt: str):
 @_domain_errors
 def apoly(knot: str, fmt: str):
     """Enhanced A-polynomial of a torus knot T(a,b)."""
+    from . import torusknot
+
     k = torusknot.parse_spec(knot)
     poly = torusknot.enhanced_apoly(k)
     if fmt == "text":
@@ -119,6 +141,8 @@ def apoly(knot: str, fmt: str):
 @_domain_errors
 def newton(poly: str, fmt: str):
     """Newton polygon, edge slopes, and thinness of an (L, M) polynomial."""
+    from . import apolygon
+
     f = apolygon.BiPoly.parse(poly)
     npg = apolygon.newton_polygon(f)
     thin = apolygon.thinness(f)
@@ -156,6 +180,8 @@ def newton(poly: str, fmt: str):
 @_domain_errors
 def detect(poly: str, degree: int | None, fmt: str):
     """Identify torus knots from an enhanced A-polynomial."""
+    from . import apolygon
+
     f = apolygon.BiPoly.parse(poly)
     if degree is None:
         result = apolygon.detect_torus_from_apoly(f)
@@ -183,13 +209,16 @@ def detect(poly: str, degree: int | None, fmt: str):
 
 
 def _parse_companion(text: str) -> LaurentPoly:
+    from . import torusknot
+    from .laurent import LaurentPoly
+
     stripped = text.strip()
     if stripped.startswith("T(") or stripped.startswith("t("):
         return torusknot.alexander(torusknot.parse_spec(stripped))
     return LaurentPoly.parse(text)
 
 
-def _witness_json(check: satellite.WindingCheck):
+def _witness_json(check: WindingCheck):
     if check.kind == "magnitude_violation":
         return {
             "kind": check.kind,
@@ -205,7 +234,11 @@ def _witness_json(check: satellite.WindingCheck):
     return None
 
 
-def _obstruction_record(a: int, b: int, w: int, companion: LaurentPoly, label: str) -> tuple[dict, str]:
+def _obstruction_record(
+    a: int, b: int, w: int, companion: LaurentPoly | CheckedCompanion, label: str
+) -> tuple[dict, str]:
+    from . import satellite
+
     result = satellite.torus_satellite_obstruction(a, b, w, companion)
     record = {"a": a, "b": b, "w": w, "companion": label, "verdict": result.verdict}
     record["witness"] = _witness_json(result.violation) if result.violation else None
@@ -250,8 +283,14 @@ def _coprime_pairs(limit: int):
 @_domain_errors
 def sweep_obstruct(a_max: int, companion_max: int):
     """Check every torus-pattern satellite with w^2 | ab in range."""
+    from . import satellite, torusknot
+
+    # each companion is checked once here, not once per record
     companions = [
-        (f"T({p},{q})", torusknot.alexander(torusknot.TorusKnotSpec(p, q)))
+        (
+            f"T({p},{q})",
+            satellite.check_companion(torusknot.alexander(torusknot.TorusKnotSpec(p, q))),
+        )
         for p, q in _coprime_pairs(companion_max)
     ]
     counts = {"obstructed": 0, "config_impossible": 0, "not_obstructed": 0}
@@ -276,6 +315,8 @@ def sweep_obstruct(a_max: int, companion_max: int):
 def sweep_thinness(limit: int):
     """Check the Newton polygon of every enhanced A-polynomial in range is
     a segment of slope ab."""
+    from . import apolygon, torusknot
+
     total = mismatches = 0
     for big, small in _coprime_pairs(limit):
         for a in (big, -big):
@@ -303,6 +344,10 @@ def sweep_thinness(limit: int):
 
 
 def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
+    from random import Random
+
+    from . import repglue
+
     rng = Random(seed)
     failures = 0
     for kind in kinds:
@@ -340,28 +385,28 @@ def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
 @sweep.command("glue")
 @click.option("--per-case", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--tolerance", type=float, default=repglue.DEFAULT_TOL, show_default=True)
+@click.option("--tolerance", type=float, default=_GLUE_TOL, show_default=True)
 @_domain_errors
 def sweep_glue(per_case: int, seed: int, tolerance: float):
     """Randomized construct-and-verify sweep over all three gluing cases."""
-    _glue_sweep(repglue.CASE_KINDS, per_case, seed, tolerance)
+    _glue_sweep(_GLUE_CASES, per_case, seed, tolerance)
 
 
 @main.command("glue-verify")
 @click.option(
     "--case",
     "case_kind",
-    type=click.Choice(list(repglue.CASE_KINDS) + ["all"]),
+    type=click.Choice(list(_GLUE_CASES) + ["all"]),
     default="all",
     show_default=True,
 )
 @click.option("--count", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--tolerance", type=float, default=repglue.DEFAULT_TOL, show_default=True)
+@click.option("--tolerance", type=float, default=_GLUE_TOL, show_default=True)
 @_domain_errors
 def glue_verify(case_kind: str, count: int, seed: int, tolerance: float):
     """Construct and independently verify randomized gluing instances."""
-    kinds = repglue.CASE_KINDS if case_kind == "all" else (case_kind,)
+    kinds = _GLUE_CASES if case_kind == "all" else (case_kind,)
     _glue_sweep(kinds, count, seed, tolerance)
 
 

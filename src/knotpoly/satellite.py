@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
-from .torusknot import TorusKnotSpec, alexander, genus
+from .torusknot import TorusKnotSpec, alexander, genus, torus_coefficient
 
 
 class PredictionMismatch(RuntimeError):
@@ -61,16 +61,17 @@ class SatelliteSpec:
 def _require_symmetrized(poly: LaurentPoly, label: str) -> None:
     if not poly:
         raise ValueError(f"{label} must be nonzero")
-    if poly != poly.mirror():
+    terms = poly.as_dict()
+    if any(terms.get(-e) != c for e, c in terms.items()):
         raise ValueError(f"{label} must be symmetrized (equal to its mirror)")
-    if sum(poly.as_dict().values()) <= 0:
+    if sum(terms.values()) <= 0:
         raise ValueError(f"{label} must be positive at t = 1")
 
 
 def satellite_alexander(spec: SatelliteSpec) -> LaurentPoly:
-    """pattern(t) * companion(t^w), symmetrized."""
-    product = spec.pattern_poly * spec.companion_poly.dilate(spec.winding)
-    return product.symmetrize()
+    """pattern(t) * companion(t^w): a product of symmetrized polynomials
+    positive at t = 1, so itself symmetrized."""
+    return spec.pattern_poly * spec.companion_poly.dilate(spec.winding)
 
 
 def satellite_genus(spec: SatelliteSpec) -> int:
@@ -143,35 +144,78 @@ class WindingCheck:
     coefficients: tuple[int, int] | None = None
 
 
-def winding_violation(a: int, b: int, w: int, companion: LaurentPoly) -> WindingCheck:
+@dataclass(frozen=True)
+class CheckedCompanion:
+    """A companion polynomial that passed check_companion: admissible, of
+    genus h >= 1, with its terms in descending exponent order.  Build it
+    with check_companion, once per companion, and pass it to
+    winding_violation or torus_satellite_obstruction for every record."""
+
+    poly: LaurentPoly
+    genus: int
+    terms: tuple[tuple[int, int], ...]
+
+
+def check_companion(companion: LaurentPoly) -> CheckedCompanion:
+    """Check that a companion polynomial is admissible with genus >= 1,
+    raising ValueError otherwise, and return it as a CheckedCompanion."""
+    report = lspace_admissible(companion)
+    if not report.ok:
+        raise ValueError(
+            f"companion polynomial must be admissible, but it {report.verdict}"
+        )
+    h = companion.span()[1]
+    if h < 1:
+        raise ValueError("companion genus must be >= 1")
+    return CheckedCompanion(companion, h, tuple(companion.items()))
+
+
+def winding_violation(
+    a: int, b: int, w: int, companion: LaurentPoly | CheckedCompanion
+) -> WindingCheck:
     """Locate the admissibility violation that the residue of w mod b
     forces in alexander(T(a, b))(t) * companion(t^w).
 
     The classification is verified against the product's coefficients:
-    when w is a multiple of b the full product is built and scanned,
-    otherwise each witness coefficient is computed exactly from the
-    pattern and companion terms.  Any disagreement raises
-    PredictionMismatch.  Requires a > b >= 2 coprime, 1 <= w < a, and an
-    admissible companion of genus >= 1.
+    when w is a multiple of b the full product is built and scanned.
+    Otherwise every witness lies in the window [top - w, top] below the
+    product's top exponent top = g + hw, where only the companion's top
+    two terms reach; each witness coefficient is summed exactly over
+    those terms, reading each pattern coefficient in O(1) from Lam and
+    Leung's closed form (torus_coefficient), so a record costs O(b)
+    whatever the size of the pattern or the companion.  Any disagreement
+    raises PredictionMismatch.  Requires a > b >= 2 coprime, 1 <= w < a,
+    and an admissible companion of genus >= 1: a LaurentPoly is checked
+    on entry, a CheckedCompanion was checked when it was built.
     """
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or not 1 <= w < a:
         raise ValueError(f"winding number must satisfy 1 <= w < a, got {w!r}")
-    h = _check_companion(companion)
+    if not isinstance(companion, CheckedCompanion):
+        companion = check_companion(companion)
+    h = companion.genus
     g = (a - 1) * (b - 1) // 2
-    pattern = alexander(TorusKnotSpec(a, b))
 
     r = w % b
     if r == 0:
-        scan = lspace_admissible(pattern * companion.dilate(w))
+        product = alexander(TorusKnotSpec(a, b)) * companion.poly.dilate(w)
+        scan = lspace_admissible(product)
         if scan.verdict != "admissible":
             raise PredictionMismatch(
                 f"w = {w} is a multiple of {b} but the product scans {scan.verdict}"
             )
         return WindingCheck("no_violation")
 
+    pattern = TorusKnotSpec(a, b)
+
     def coefficient(e: int) -> int:
-        return sum(c * pattern.coefficient(e - w * k) for k, c in companion.items())
+        # companion term k reaches exponent e only if e - w*k <= g
+        total = 0
+        for k, c in companion.terms:
+            if e - w * k > g:
+                break
+            total += c * torus_coefficient(pattern, e - w * k)
+        return total
 
     if r == 1:
         e = g + h * w - w
@@ -208,12 +252,17 @@ class ObstructionResult:
 
 
 def torus_satellite_obstruction(
-    a: int, b: int, w: int, companion: LaurentPoly
+    a: int, b: int, w: int, companion: LaurentPoly | CheckedCompanion
 ) -> ObstructionResult:
     """Decide whether a winding-w satellite with pattern T(a, b) and the
     given companion polynomial is obstructed from instanton L-space
-    surgeries, under the divisibility hypothesis w^2 | ab.  The companion
-    is checked (admissible, genus >= 1) once, by winding_violation."""
+    surgeries, under the divisibility hypothesis w^2 | ab.
+
+    The witness comes from winding_violation, which reads each witness
+    coefficient in O(1) from the pattern's closed form.  The companion
+    may come pre-checked as a CheckedCompanion (check it once, use it for
+    every record); a LaurentPoly is checked (admissible, genus >= 1) on
+    entry, by winding_violation."""
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or w < 1:
         raise ValueError(f"winding number must be an integer >= 1, got {w!r}")
@@ -235,15 +284,3 @@ def _check_pattern(a: int, b: int) -> None:
         raise ValueError(f"pattern needs a > b >= 2, got a = {a}, b = {b}")
     if math.gcd(a, b) != 1:
         raise ValueError(f"pattern parameters {a}, {b} are not coprime")
-
-
-def _check_companion(companion: LaurentPoly) -> int:
-    report = lspace_admissible(companion)
-    if not report.ok:
-        raise ValueError(
-            f"companion polynomial must be admissible, but it {report.verdict}"
-        )
-    h = companion.span()[1]
-    if h < 1:
-        raise ValueError("companion genus must be >= 1")
-    return h

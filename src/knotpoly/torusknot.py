@@ -12,9 +12,17 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .apolygon import APOLY_TEMPLATES, BiPoly, template_terms
 from .laurent import LaurentPoly, _raw
+
+# alexander refuses a knot with more nonzero terms than this before it
+# allocates anything: about 175 MB peak to build and print one this size.
+# T(100000,3) has 133,333 terms; T(750001,3), 1,000,001.
+MAX_TERMS = 1_000_000
+
+if TYPE_CHECKING:
+    from .apolygon import BiPoly
 
 
 @dataclass(frozen=True)
@@ -46,10 +54,6 @@ class TorusKnotSpec:
         object.__setattr__(self, "a", sign * p)
         object.__setattr__(self, "b", q)
 
-    @property
-    def is_canonical(self) -> bool:
-        return abs(self.a) > self.b >= 2
-
     def __str__(self) -> str:
         return f"T({self.a},{self.b})"
 
@@ -67,6 +71,21 @@ def genus(k: TorusKnotSpec) -> int:
     return (abs(k.a) - 1) * (k.b - 1) // 2
 
 
+def _closed_form(k: TorusKnotSpec) -> tuple[int, int, int, int, int]:
+    # p, q, the genus g and Lam and Leung's r, s >= 0 with rp + sq = 2g
+    p, q = abs(k.a), k.b
+    g = genus(k)
+    r = (pow(p, -1, q) - 1) % q
+    return p, q, g, r, (2 * g - r * p) // q
+
+
+def term_count(k: TorusKnotSpec) -> int:
+    """Number of nonzero terms of alexander(k), (r+1)(s+1) + (q-r-1)(p-s-1)
+    in the notation of ``alexander``; computed without building it."""
+    p, q, _, r, s = _closed_form(k)
+    return (r + 1) * (s + 1) + (q - r - 1) * (p - s - 1)
+
+
 def alexander(k: TorusKnotSpec) -> LaurentPoly:
     """Symmetrized Alexander polynomial (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1));
     mirrors share it.
@@ -76,17 +95,40 @@ def alexander(k: TorusKnotSpec) -> LaurentPoly:
     Phi_pq(X)", Amer. Math. Monthly 103 (1996): take r, s >= 0 with
     rp + sq = 2g (g the genus); the terms are +t^{ip + jq - g} for
     0 <= i <= r, 0 <= j <= s, and -t^{ip + jq - pq - g} for r < i < q,
-    s < j < p.
+    s < j < p.  Raises ValueError, before allocating anything, when the
+    polynomial would have more than MAX_TERMS nonzero terms.
     """
-    p, q = abs(k.a), k.b
-    g = genus(k)
-    r = (pow(p, -1, q) - 1) % q
-    s = (2 * g - r * p) // q
+    count = term_count(k)
+    if count > MAX_TERMS:
+        raise ValueError(
+            f"{k} has {count} nonzero Alexander terms, more than the limit {MAX_TERMS}"
+        )
+    p, q, g, r, s = _closed_form(k)
     terms = {i * p + j * q - g: 1 for i in range(r + 1) for j in range(s + 1)}
     terms.update(
         (i * p + j * q - p * q - g, -1) for i in range(r + 1, q) for j in range(s + 1, p)
     )
     return _raw(terms)
+
+
+def torus_coefficient(k: TorusKnotSpec, e: int) -> int:
+    """Coefficient of t^e in alexander(k), in O(1) without building it.
+
+    By the closed form of Lam and Leung (Amer. Math. Monthly 103, 1996;
+    see ``alexander``), n = e + g has exactly one representation
+    n = ip + jq with 0 <= i < q, namely i = n p^-1 mod q and
+    j = (n - ip) / q.  The coefficient is +1 when i <= r and 0 <= j <= s,
+    -1 when r < i and s < j + p < p, and 0 otherwise.
+    """
+    p, q, g, r, s = _closed_form(k)
+    if abs(e) > g:
+        return 0
+    n = e + g
+    i = n * (r + 1) % q  # r + 1 is p^-1 mod q
+    j = (n - i * p) // q
+    if i <= r:
+        return 1 if 0 <= j <= s else 0
+    return -1 if s < j + p < p else 0
 
 
 def leading_form(k: TorusKnotSpec) -> LaurentPoly:
@@ -108,6 +150,8 @@ def enhanced_apoly(k: TorusKnotSpec) -> BiPoly:
     """Enhanced A-polynomial template: degree one in L for two-strand
     knots, degree two otherwise, with the mirror moving the M-power to the
     other monomial."""
+    from .apolygon import APOLY_TEMPLATES, BiPoly, template_terms
+
     l_degree = 1 if k.b == 2 else 2
     template = next(
         t for t in APOLY_TEMPLATES if t[0] == l_degree and t[2] == (k.a < 0)

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import knotpoly
-from knotpoly import repglue, satellite
+from knotpoly import cli, repglue, satellite
 from knotpoly.cli import main
 
 
@@ -59,6 +59,23 @@ class TestAlexander:
     def test_usage_error_exit_2(self, runner):
         assert runner.invoke(main, ["alexander"]).exit_code == 2
         assert runner.invoke(main, ["nonsense"]).exit_code == 2
+
+    def test_size_guard(self, runner):
+        # T(750001,3) has one term more than torusknot.MAX_TERMS
+        r = runner.invoke(main, ["alexander", "T(750001,3)"])
+        assert r.exit_code == 1
+        assert json.loads(r.output) == {
+            "error": {
+                "kind": "ValueError",
+                "detail": "T(750001,3) has 1000001 nonzero Alexander terms, "
+                "more than the limit 1000000",
+            }
+        }
+        r = runner.invoke(
+            main, ["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(750001,3)"]
+        )
+        assert r.exit_code == 1
+        assert "more than the limit" in json.loads(r.output)["error"]["detail"]
 
 
 class TestApoly:
@@ -197,6 +214,16 @@ class TestObstruct:
             "error": {"kind": "PredictionMismatch", "detail": "predicted coefficient absent"}
         }
 
+    def test_other_runtime_error_is_not_reported(self, runner, monkeypatch):
+        def bug(*args):
+            raise RuntimeError("not a prediction")
+
+        monkeypatch.setattr(satellite, "winding_violation", bug)
+        r = runner.invoke(
+            main, ["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(3,2)"]
+        )
+        assert isinstance(r.exception, RuntimeError) and r.output == ""
+
 
 class TestSweeps:
     def test_thinness_sweep(self, runner):
@@ -218,6 +245,21 @@ class TestSweeps:
         assert summary["not_obstructed"] == 0
         assert summary["total"] == summary["obstructed"] + summary["config_impossible"]
         assert all(rec["verdict"] == "obstructed" for rec in recs[:-1])
+
+    def test_obstruct_sweep_checks_each_companion_once(self, runner, monkeypatch):
+        calls = []
+        real = satellite.lspace_admissible
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(satellite, "lspace_admissible", counted)
+        r = runner.invoke(main, ["sweep", "obstruct", "--a-max", "8", "--companion-max", "5"])
+        assert r.exit_code == 0
+        total = json.loads(lines(r)[-1])["summary"]["total"]
+        # companions T(3,2), T(4,3), T(5,2), T(5,3), T(5,4)
+        assert len(calls) == 5 < total
 
     def test_glue_sweep(self, runner):
         r = runner.invoke(main, ["sweep", "glue", "--per-case", "5", "--seed", "3"])
@@ -344,6 +386,49 @@ class TestGlueVerify:
 
 
 class TestModuleEntry:
+    def test_package_exports_resolve_lazily(self):
+        import importlib
+
+        for name in knotpoly.__all__:
+            if name == "__version__":
+                continue
+            home = importlib.import_module(f"knotpoly.{knotpoly._HOME[name]}")
+            assert getattr(knotpoly, name) is getattr(home, name), name
+        assert knotpoly.repglue is repglue
+        with pytest.raises(AttributeError):
+            knotpoly.no_such_name
+
+    def test_glue_option_defaults_match_repglue(self):
+        assert cli._GLUE_CASES == repglue.CASE_KINDS
+        assert cli._GLUE_TOL == repglue.DEFAULT_TOL
+
+    @pytest.mark.parametrize(
+        "args,loaded",
+        [
+            ([], set()),
+            (["alexander", "T(5,2)"], {"laurent", "torusknot"}),
+            (["newton", "1 + M*L"], {"laurent", "apolygon"}),
+        ],
+    )
+    def test_commands_import_only_what_they_use(self, args, loaded):
+        src = str(Path(knotpoly.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from knotpoly.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.startswith('knotpoly.')))\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 0, r.stderr
+        modules = r.stdout.strip().splitlines()[-1]
+        assert modules == str(sorted(f"knotpoly.{m}" for m in {"cli", *loaded}))
+
     def test_python_m_help(self):
         src = str(Path(knotpoly.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

@@ -10,6 +10,7 @@ from knotpoly.laurent import LaurentPoly
 from knotpoly.satellite import (
     PredictionMismatch,
     SatelliteSpec,
+    check_companion,
     lspace_admissible,
     satellite_alexander,
     satellite_genus,
@@ -238,16 +239,56 @@ class TestWindingViolation:
         ],
     )
     def test_perturbed_pattern_raises(self, monkeypatch, a, b, w, e, match):
-        # Subtracting t^e from the pattern adds 1 to the product's
-        # coefficient at e (TREFOIL's constant term is -1), so the witness
+        # The witness reads the pattern only through torus_coefficient.
+        # Adding 1 to the pattern's coefficient at e - w adds 1 to the
+        # product's coefficient at e (TREFOIL's top term is +t) and moves no
+        # other exponent of the window [top - w, top], so the witness
         # computed from the terms must disagree with the prediction.
         assert winding_violation(a, b, w, TREFOIL).kind != "no_violation"
-        real = satellite.alexander
-        monkeypatch.setattr(
-            satellite, "alexander", lambda k: real(k) - LaurentPoly.monomial(e)
-        )
+        real = satellite.torus_coefficient
+        reads = []
+
+        def perturbed(k, x):
+            reads.append(x)
+            return real(k, x) + (x == e - w)
+
+        monkeypatch.setattr(satellite, "torus_coefficient", perturbed)
         with pytest.raises(PredictionMismatch, match=match):
             winding_violation(a, b, w, TREFOIL)
+        assert e - w in reads
+
+    def test_witness_never_builds_the_pattern(self, monkeypatch):
+        # w mod b != 0 reads pattern coefficients in O(1); only w mod b == 0
+        # builds alexander(T(a, b)) for the full product
+        def refuse(k):
+            raise AssertionError(f"built {k}")
+
+        monkeypatch.setattr(satellite, "alexander", refuse)
+        for a, b, w in [(7, 2, 3), (5, 3, 2), (7, 4, 3)]:
+            assert winding_violation(a, b, w, TREFOIL).kind != "no_violation"
+        # a pattern far past alexander's MAX_TERMS costs what a small one does
+        v = winding_violation(100003, 100002, 5, TREFOIL)
+        g = 100002 * 100001 // 2
+        assert v.kind == "same_sign_violation"
+        assert v.exponent_pair == (g + 5 - 1, g + 5 - 5)
+        with pytest.raises(AssertionError, match="built"):
+            winding_violation(7, 2, 2, TREFOIL)
+
+    def test_checked_companion_matches_plain(self):
+        from math import gcd
+
+        for comp in [(3, 2), (5, 2), (4, 3), (7, 5)]:
+            checked = check_companion(torus_poly(*comp))
+            assert checked.poly == torus_poly(*comp)
+            assert checked.genus == genus(TorusKnotSpec(*comp))
+            assert checked.terms == tuple(torus_poly(*comp).items())
+            for a in range(3, 12):
+                for b in range(2, a):
+                    if gcd(a, b) == 1:
+                        for w in range(1, a):
+                            assert winding_violation(a, b, w, checked) == winding_violation(
+                                a, b, w, torus_poly(*comp)
+                            ), (a, b, w, comp)
 
     @pytest.mark.parametrize(
         "a,b,w",
@@ -260,10 +301,16 @@ class TestWindingViolation:
     def test_rejects_inadmissible_companion(self):
         with pytest.raises(ValueError):
             winding_violation(5, 2, 2, TREFOIL * TREFOIL)
+        with pytest.raises(ValueError, match="must be admissible"):
+            winding_violation(7, 2, 3, TREFOIL * TREFOIL)
+        with pytest.raises(ValueError, match="must be admissible"):
+            check_companion(TREFOIL * TREFOIL)
 
     def test_rejects_genus_zero_companion(self):
         with pytest.raises(ValueError):
             winding_violation(5, 2, 2, LaurentPoly({0: 1}))
+        with pytest.raises(ValueError, match="genus"):
+            check_companion(LaurentPoly({0: 1}))
 
 
 class TestObstruction:

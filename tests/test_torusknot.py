@@ -16,7 +16,10 @@ from knotpoly.torusknot import (
     enhanced_apoly,
     genus,
     leading_form,
+    MAX_TERMS,
     parse_spec,
+    term_count,
+    torus_coefficient,
 )
 
 import oracles
@@ -118,6 +121,45 @@ class TestAlexander:
     def test_value_at_one(self):
         f = alexander(TorusKnotSpec(9, 4))
         assert sum(c for _, c in f.items()) == 1
+
+    def test_term_count_formula(self):
+        # r, s >= 0 with rp + sq = 2g and r < q, found by search here
+        for p, q in [*coprime_pairs(40), (64, 45), (97, 94), (100, 3)]:
+            k = TorusKnotSpec(p, q)
+            g2 = 2 * genus(k)
+            r = next(r for r in range(q) if (g2 - r * p) % q == 0 and g2 >= r * p)
+            s = (g2 - r * p) // q
+            expected = (r + 1) * (s + 1) + (q - r - 1) * (p - s - 1)
+            assert len(oracles.torus_alexander_oracle(p, q)) == expected, (p, q)
+            assert term_count(k) == expected == term_count(TorusKnotSpec(-p, q)), (p, q)
+
+    def test_size_guard(self):
+        assert MAX_TERMS >= 133_333
+        big = TorusKnotSpec(100000, 3)
+        assert term_count(big) == 133_333
+        assert len(alexander(big).as_dict()) == 133_333
+        refused = TorusKnotSpec(750001, 3)
+        assert term_count(refused) == MAX_TERMS + 1
+        with pytest.raises(ValueError, match="more than the limit 1000000"):
+            alexander(refused)
+
+
+class TestTorusCoefficient:
+    def test_matches_oracle(self):
+        # every knot T(+-p, q) with p < 30, every exponent in [-g-2, g+2]
+        for p, q in coprime_pairs(29):
+            dense = oracles.torus_alexander_oracle(p, q)
+            for a in (p, -p):
+                k = TorusKnotSpec(a, q)
+                g = genus(k)
+                got = {e: torus_coefficient(k, e) for e in range(-g - 2, g + 3)}
+                assert got == {e: dense.get(e, 0) for e in got}, (a, q)
+
+    def test_far_exponents_and_huge_knots(self):
+        k = TorusKnotSpec(100003, 100002)
+        g = genus(k)
+        assert [torus_coefficient(k, e) for e in (g, g - 1, g - 2, -g)] == [1, -1, 0, 1]
+        assert torus_coefficient(k, g + 1) == torus_coefficient(k, -g - 1) == 0
 
 
 class TestLeadingForm:
