@@ -24,7 +24,6 @@ _EXPORTS = {
         "detect_torus_from_apoly",
         "detect_with_degree",
         "detectability",
-        "edge_boundary_slopes",
         "newton_polygon",
         "thinness",
     ),
@@ -34,7 +33,6 @@ _EXPORTS = {
         "Extension",
         "GlueInstance",
         "Mat2C",
-        "PeripheralPair",
         "VerifyResult",
         "choose_k",
         "classify_case",
@@ -47,7 +45,6 @@ _EXPORTS = {
     "satellite": (
         "AdmissibilityReport",
         "CheckedCompanion",
-        "ObstructionResult",
         "PredictionMismatch",
         "SatelliteSpec",
         "WindingCheck",

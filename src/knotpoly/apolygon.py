@@ -135,7 +135,7 @@ class NewtonPolygon:
     hull_vertices are the extreme points in counterclockwise order starting
     from the lexicographically smallest; edge_slopes are the deduplicated
     slopes (M-change over L-change), finite ones ascending, INFINITE_SLOPE
-    last.
+    last; each is a candidate strict boundary slope of the underlying knot.
     """
 
     lattice_points: tuple[tuple[int, int], ...]
@@ -221,12 +221,6 @@ def thinness(f: BiPoly) -> ThinnessResult:
     if anchor[0] == o[0]:
         return ThinnessResult("not_thin", infinite_slope=True)
     return ThinnessResult("thin", slope=Fraction(anchor[1] - o[1], anchor[0] - o[0]))
-
-
-def edge_boundary_slopes(f: BiPoly) -> tuple:
-    """Deduplicated Newton polygon edge slopes; each is a candidate strict
-    boundary slope of the underlying knot."""
-    return newton_polygon(f).edge_slopes
 
 
 # ------- Torus knot detection -------

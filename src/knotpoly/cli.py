@@ -239,10 +239,11 @@ def _obstruction_record(
 ) -> tuple[dict, str]:
     from . import satellite
 
-    result = satellite.torus_satellite_obstruction(a, b, w, companion)
-    record = {"a": a, "b": b, "w": w, "companion": label, "verdict": result.verdict}
-    record["witness"] = _witness_json(result.violation) if result.violation else None
-    return record, result.verdict
+    check = satellite.torus_satellite_obstruction(a, b, w, companion)
+    verdict = "not_obstructed" if check.kind == "no_violation" else "obstructed"
+    record = {"a": a, "b": b, "w": w, "companion": label, "verdict": verdict}
+    record["witness"] = _witness_json(check)
+    return record, verdict
 
 
 @main.command()
@@ -382,10 +383,23 @@ def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
         sys.exit(1)
 
 
+def _nonnegative(ctx, param, value: float) -> float:
+    # written "not >= 0" so that NaN, which compares false, is rejected too
+    if not value >= 0:
+        raise click.BadParameter(f"{value} is not a number >= 0")
+    return value
+
+
+def _tolerance_option(fn):
+    return click.option(
+        "--tolerance", type=float, default=_GLUE_TOL, show_default=True, callback=_nonnegative
+    )(fn)
+
+
 @sweep.command("glue")
 @click.option("--per-case", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--tolerance", type=float, default=_GLUE_TOL, show_default=True)
+@_tolerance_option
 @_domain_errors
 def sweep_glue(per_case: int, seed: int, tolerance: float):
     """Randomized construct-and-verify sweep over all three gluing cases."""
@@ -402,7 +416,7 @@ def sweep_glue(per_case: int, seed: int, tolerance: float):
 )
 @click.option("--count", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--tolerance", type=float, default=_GLUE_TOL, show_default=True)
+@_tolerance_option
 @_domain_errors
 def glue_verify(case_kind: str, count: int, seed: int, tolerance: float):
     """Construct and independently verify randomized gluing instances."""

@@ -111,22 +111,19 @@ class PeripheralCase:
 
 
 @dataclass(frozen=True)
-class PeripheralPair:
-    mu: Mat2C
-    lam: Mat2C
-    case: PeripheralCase
-
-
-@dataclass(frozen=True)
 class GlueInstance:
-    """A classified peripheral pair with surgery slope p/q and winding w;
-    d = gcd(q, w^2) is the denominator of the surgered satellite slope."""
+    """Surgery slope p/q, winding w and the companion peripheral pair
+    (mu, lam) with its classified case; d = gcd(q, w^2) is the denominator
+    of the surgered satellite slope.  Build it with glue_instance, which
+    checks the pair, or sample_instance."""
 
     p: int
     q: int
     w: int
     d: int
-    pair: PeripheralPair
+    mu: Mat2C
+    lam: Mat2C
+    case: PeripheralCase
 
 
 @dataclass(frozen=True)
@@ -148,15 +145,17 @@ class VerifyResult:
     residual: float | None = None
 
 
-def classify_case(mu: Mat2C, lam: Mat2C, w: int, tol: float = DEFAULT_TOL) -> PeripheralCase:
+def classify_case(mu: Mat2C, lam: Mat2C, w: int) -> PeripheralCase:
     """Route a Jordan-form peripheral pair to its construction case.
 
     diagonal: mu diagonal with eigenvalue away from +-1 (lam must be
     diagonal too).  jordan_plus: mu a Jordan block of eigenvalue +1, or of
     eigenvalue -1 with odd w.  jordan_minus: eigenvalue -1 with even w.
     Anything else (mu = +-identity, lower-triangular or non-Jordan input,
-    determinant away from 1) is rejected.
+    determinant away from 1) is rejected.  Shapes are compared at
+    DEFAULT_TOL.
     """
+    tol = DEFAULT_TOL
     for m, label in ((mu, "mu"), (lam, "lam")):
         if abs(m.det() - 1) > tol:
             raise ValueError(f"{label} must lie in SL(2,C); determinant is {m.det()}")
@@ -192,31 +191,24 @@ def classify_case(mu: Mat2C, lam: Mat2C, w: int, tol: float = DEFAULT_TOL) -> Pe
     return PeripheralCase("jordan_minus", eps=eps, eta=eta, a_off=a_off, b_off=b_off)
 
 
-def peripheral_pair(mu: Mat2C, lam: Mat2C, w: int, tol: float = DEFAULT_TOL) -> PeripheralPair:
-    """Validate and classify a commuting Jordan-form pair."""
-    case = classify_case(mu, lam, w, tol)
-    if (mu * lam).dist(lam * mu) > tol:
-        raise ValueError("mu and lam must commute")
-    return PeripheralPair(mu, lam, case)
-
-
-def glue_instance(
-    p: int, q: int, w: int, mu: Mat2C, lam: Mat2C, tol: float = DEFAULT_TOL
-) -> GlueInstance:
-    """Bundle slope, winding, and peripheral pair, checking the defining
-    relation mu^p * lam^q = identity."""
+def glue_instance(p: int, q: int, w: int, mu: Mat2C, lam: Mat2C) -> GlueInstance:
+    """Bundle slope, winding, and peripheral pair, checking at DEFAULT_TOL
+    that the pair classifies (classify_case), commutes, and satisfies the
+    defining relation mu^p * lam^q = identity."""
     if q < 1:
         raise ValueError(f"slope denominator must be positive, got {q!r}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"slope {p}/{q} is not in lowest terms")
     if not isinstance(w, int) or isinstance(w, bool) or w < 1:
         raise ValueError(f"winding number must be an integer >= 1, got {w!r}")
-    pair = peripheral_pair(mu, lam, w, tol)
+    case = classify_case(mu, lam, w)
+    if (mu * lam).dist(lam * mu) > DEFAULT_TOL:
+        raise ValueError("mu and lam must commute")
     relation = (mu ** p) * (lam ** q)
     err = relation.dist(Mat2C.identity())
-    if err > tol:
+    if err > DEFAULT_TOL:
         raise ValueError(f"peripheral relation mu^p lam^q = 1 fails (residual {err:g})")
-    return GlueInstance(p, q, w, math.gcd(q, w * w), pair)
+    return GlueInstance(p, q, w, math.gcd(q, w * w), mu, lam, case)
 
 
 def choose_k(m: int, p: int, d: int) -> int:
@@ -233,7 +225,7 @@ def choose_k(m: int, p: int, d: int) -> int:
 def diagonal_polar_data(g: GlueInstance) -> dict:
     """Polar form (s, t, theta, phi), winding integer m of the relation
     angle, and the chosen root index k for a diagonal-case instance."""
-    case = g.pair.case
+    case = g.case
     if case.kind != "diagonal":
         raise ValueError("polar data only exists for the diagonal case")
     s, theta = abs(case.alpha), cmath.phase(case.alpha)
@@ -257,7 +249,7 @@ def diagonal_polar_data(g: GlueInstance) -> dict:
 def construct_extension(g: GlueInstance) -> Extension:
     """Build the satellite peripheral images for a classified instance.
     Nothing is checked here; verify_extension does that."""
-    case = g.pair.case
+    case = g.case
     if case.kind == "diagonal":
         data = diagonal_polar_data(g)
         k = data["k"]
@@ -283,17 +275,18 @@ def verify_extension(
 ) -> VerifyResult:
     """Compute the max-norm residuals of the three defining equations from
     the emitted matrices alone (binary-exponentiation powers) and compare
-    each to tol.  This is the only check of a constructed extension."""
-    mu_target = g.pair.mu.scaled(-1) if e.central_twist_used else g.pair.mu
+    each to tol; a residual that is not <= tol (NaN included) fails.  This
+    is the only check of a constructed extension."""
+    mu_target = g.mu.scaled(-1) if e.central_twist_used else g.mu
     e1 = g.p * (g.w * g.w // g.d)
     e2 = g.q // g.d
     residuals = (
         (e.mu_p ** g.w).dist(mu_target),
-        e.lam_p.dist(g.pair.lam ** g.w),
+        e.lam_p.dist(g.lam ** g.w),
         ((e.mu_p ** e1) * (e.lam_p ** e2)).dist(Mat2C.identity()),
     )
     for i, r in enumerate(residuals, start=1):
-        if r > tol:
+        if not r <= tol:
             return VerifyResult(False, residuals, failed_equation=i, residual=r)
     return VerifyResult(True, residuals)
 

@@ -32,30 +32,27 @@ class PredictionMismatch(RuntimeError):
 class SatelliteSpec:
     """Pattern/companion data for a satellite knot.
 
-    Genus fields default to the top exponents of the symmetrized
-    polynomials and must match them when given explicitly.
+    pattern_genus and companion_genus are read-only: each is the top
+    exponent of its symmetrized polynomial.
     """
 
     pattern_poly: LaurentPoly
     companion_poly: LaurentPoly
     winding: int
-    pattern_genus: int | None = None
-    companion_genus: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.winding, int) or isinstance(self.winding, bool) or self.winding < 1:
             raise ValueError(f"winding number must be an integer >= 1, got {self.winding!r}")
-        for name in ("pattern", "companion"):
-            poly = getattr(self, f"{name}_poly")
-            _require_symmetrized(poly, f"{name} polynomial")
-            top = poly.span()[1]
-            stated = getattr(self, f"{name}_genus")
-            if stated is None:
-                object.__setattr__(self, f"{name}_genus", top)
-            elif stated != top:
-                raise ValueError(
-                    f"{name} genus {stated} does not match top exponent {top}"
-                )
+        _require_symmetrized(self.pattern_poly, "pattern polynomial")
+        _require_symmetrized(self.companion_poly, "companion polynomial")
+
+    @property
+    def pattern_genus(self) -> int:
+        return self.pattern_poly.span()[1]
+
+    @property
+    def companion_genus(self) -> int:
+        return self.companion_poly.span()[1]
 
 
 def _require_symmetrized(poly: LaurentPoly, label: str) -> None:
@@ -103,27 +100,13 @@ def lspace_admissible(f: LaurentPoly) -> AdmissibilityReport:
     _require_symmetrized(f, "input")
     g = f.span()[1]
     c_top = f.coefficient(g)
-    if abs(c_top) >= 2:
-        return AdmissibilityReport("fails_magnitude", g, ((g, c_top),))
-    if g >= 1:
-        c_next = f.coefficient(g - 1)
-        if c_next == 0:
-            return AdmissibilityReport("fails_top_two", g, ((g, c_top), (g - 1, 0)))
-        if abs(c_next) >= 2:
-            return AdmissibilityReport("fails_magnitude", g - 1, ((g - 1, c_next),))
-        if (c_next > 0) == (c_top > 0):
-            return AdmissibilityReport(
-                "fails_alternation", g, ((g, c_top), (g - 1, c_next))
-            )
-        prev = (g - 1, c_next)
-    else:
-        prev = (g, c_top)
+    if g >= 1 and abs(c_top) < 2 and f.coefficient(g - 1) == 0:
+        return AdmissibilityReport("fails_top_two", g, ((g, c_top), (g - 1, 0)))
+    prev = None
     for e, c in f.items():
-        if e >= prev[0]:
-            continue
         if abs(c) >= 2:
             return AdmissibilityReport("fails_magnitude", e, ((e, c),))
-        if (c > 0) == (prev[1] > 0):
+        if prev is not None and (c > 0) == (prev[1] > 0):
             return AdmissibilityReport("fails_alternation", prev[0], (prev, (e, c)))
         prev = (e, c)
     return AdmissibilityReport("admissible")
@@ -242,27 +225,20 @@ def winding_violation(
     )
 
 
-@dataclass(frozen=True)
-class ObstructionResult:
-    """verdict is obstructed (with the witnessing WindingCheck) or
-    not_obstructed (no violation; the sweeps exist to rule it out)."""
-
-    verdict: str
-    violation: WindingCheck | None = None
-
-
 def torus_satellite_obstruction(
     a: int, b: int, w: int, companion: LaurentPoly | CheckedCompanion
-) -> ObstructionResult:
+) -> WindingCheck:
     """Decide whether a winding-w satellite with pattern T(a, b) and the
     given companion polynomial is obstructed from instanton L-space
     surgeries, under the divisibility hypothesis w^2 | ab.
 
-    The witness comes from winding_violation, which reads each witness
-    coefficient in O(1) from the pattern's closed form.  The companion
-    may come pre-checked as a CheckedCompanion (check it once, use it for
-    every record); a LaurentPoly is checked (admissible, genus >= 1) on
-    entry, by winding_violation."""
+    Returns the WindingCheck of winding_violation, which reads each witness
+    coefficient in O(1) from the pattern's closed form: the satellite is
+    obstructed exactly when its kind is not no_violation (the sweeps exist
+    to rule that out).  The companion may come pre-checked as a
+    CheckedCompanion (check it once, use it for every record); a
+    LaurentPoly is checked (admissible, genus >= 1) on entry, by
+    winding_violation."""
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or w < 1:
         raise ValueError(f"winding number must be an integer >= 1, got {w!r}")
@@ -270,10 +246,7 @@ def torus_satellite_obstruction(
         raise ValueError(f"w^2 = {w * w} does not divide ab = {a * b}")
     # w^2 | ab with a > b coprime forces w < a (else ab >= w^2 >= a^2 > ab)
     # and b not dividing w (else b^2 | ab, so b | a).
-    check = winding_violation(a, b, w, companion)
-    if check.kind == "no_violation":
-        return ObstructionResult("not_obstructed")
-    return ObstructionResult("obstructed", violation=check)
+    return winding_violation(a, b, w, companion)
 
 
 def _check_pattern(a: int, b: int) -> None:

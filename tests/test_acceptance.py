@@ -138,7 +138,7 @@ def test_criterion_5_obstruction_sweep():
             for comp in companions:
                 res = torus_satellite_obstruction(a, b, w, comp)
                 total += 1
-                if res.verdict == "not_obstructed":
+                if res.kind == "no_violation":
                     failures.append((a, b, w))
     if total == 0:
         failures.append("empty sweep")

@@ -15,7 +15,6 @@ from knotpoly.apolygon import (
     detect_torus_from_apoly,
     detect_with_degree,
     detectability,
-    edge_boundary_slopes,
     newton_polygon,
     thinness,
 )
@@ -127,10 +126,6 @@ class TestNewtonPolygon:
         assert set(npg.edge_slopes) == expected
         finite = [s for s in npg.edge_slopes if s != INFINITE_SLOPE]
         assert finite == sorted(finite)
-
-    def test_edge_boundary_slopes_alias(self):
-        f = enhanced_apoly(TorusKnotSpec(3, 2))
-        assert edge_boundary_slopes(f) == newton_polygon(f).edge_slopes
 
 
 class TestThinness:

@@ -366,6 +366,14 @@ class TestGlueVerify:
             {k: rec[k] for k in drawn} for rec in map(json.loads, lines(default)[:-1])
         ]
 
+    @pytest.mark.parametrize("command", [["glue-verify", "--count", "2"], ["sweep", "glue"]])
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-9"])
+    def test_nan_or_negative_tolerance_usage_error(self, runner, command, tolerance):
+        r = runner.invoke(main, [*command, "--seed", "7", "--tolerance", tolerance])
+        assert r.exit_code == 2
+        assert "--tolerance" in r.output
+        assert '"ok"' not in r.output
+
     def test_records_stream_before_an_error(self, runner, monkeypatch):
         sample = repglue.sample_instance
         calls = []

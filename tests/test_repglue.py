@@ -12,13 +12,14 @@ from knotpoly.repglue import (
     CASE_KINDS,
     DEFAULT_TOL,
     Extension,
+    GlueInstance,
     Mat2C,
+    PeripheralCase,
     choose_k,
     classify_case,
     construct_extension,
     diagonal_polar_data,
     glue_instance,
-    peripheral_pair,
     sample_instance,
     verify_extension,
 )
@@ -136,8 +137,11 @@ class TestGlueInstance:
             glue_instance(3, 1, 2, diag(2, 0.5), diag(0.25, 4))
 
     def test_commutation_enforced(self):
-        with pytest.raises(ValueError):
-            peripheral_pair(diag(2, 0.5), Mat2C(1, 1, 0, 1), w=2)
+        # the pair classifies as diagonal (lam.b is within DEFAULT_TOL), but
+        # mu * lam and lam * mu differ by (10 - 0.1) * 9e-10 in the corner
+        classify_case(diag(10, 0.1), Mat2C(2, 9e-10, 0, 0.5), w=1)
+        with pytest.raises(ValueError, match="must commute"):
+            glue_instance(1, 1, 1, diag(10, 0.1), Mat2C(2, 9e-10, 0, 0.5))
 
 
 class TestChooseK:
@@ -209,7 +213,10 @@ class TestWorkedExamples:
     def test_angle_drift_is_hard_error(self):
         alpha = 2
         beta = 0.5 * cmath.exp(1e-4j)
-        g = glue_instance(1, 1, 1, diag(alpha, 1 / alpha), diag(beta, 1 / beta), tol=1e-3)
+        # the relation mu * lam = 1 is off by about 1e-4, past what
+        # glue_instance accepts, so the instance is built directly
+        case = PeripheralCase("diagonal", alpha=alpha, beta=beta)
+        g = GlueInstance(1, 1, 1, 1, diag(alpha, 1 / alpha), diag(beta, 1 / beta), case)
         with pytest.raises(ArithmeticError):
             diagonal_polar_data(g)
 
@@ -235,7 +242,7 @@ class TestRandomizedSweep:
             assert e.central_twist_used and e.chosen_k is None
         for _ in range(40):
             g = sample_instance("jordan_plus", rng)
-            case = g.pair.case
+            case = g.case
             assert case.eps == 1 or g.w % 2 == 1
             e = construct_extension(g)
             assert not e.central_twist_used
@@ -255,7 +262,7 @@ class TestRandomizedSweep:
         d_parities = set()
         for _ in range(120):
             g = sample_instance("jordan_plus", rng)
-            case = g.pair.case
+            case = g.case
             e1 = g.p * (g.w * g.w // g.d)
             e2 = g.w * (g.q // g.d)
             sign = (case.eps ** abs(e1)) * (case.eta ** abs(e2))
@@ -314,6 +321,15 @@ class TestPerturbation:
         bumped = replace(e.lam_p, d=e.lam_p.d + 1e-3)
         mutated = Extension(e.mu_p, bumped, e.central_twist_used, e.chosen_k)
         assert verify_extension(g, mutated, tol=1.0).ok
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_residual_fails(self, bad):
+        g = glue_instance(3, 1, 2, diag(2, 0.5), diag(0.125, 8))
+        e = construct_extension(g)
+        mutated = Extension(replace(e.mu_p, a=bad), e.lam_p, e.central_twist_used, e.chosen_k)
+        res = verify_extension(g, mutated)
+        assert res.ok is False
+        assert res.failed_equation == 1
 
     def test_verify_rejects_impossible_tolerance(self):
         rng = Random(9)

@@ -33,10 +33,6 @@ class TestSatelliteSpec:
         s = SatelliteSpec(torus_poly(7, 2), TREFOIL, winding=3)
         assert s.pattern_genus == 3 and s.companion_genus == 1
 
-    def test_rejects_genus_mismatch(self):
-        with pytest.raises(ValueError):
-            SatelliteSpec(TREFOIL, TREFOIL, winding=1, pattern_genus=2)
-
     def test_rejects_zero_winding(self):
         with pytest.raises(ValueError):
             SatelliteSpec(TREFOIL, TREFOIL, winding=0)
@@ -316,16 +312,13 @@ class TestWindingViolation:
 class TestObstruction:
     def test_obstructed_goldens(self):
         r = torus_satellite_obstruction(3, 2, 1, TREFOIL)
-        assert r.verdict == "obstructed"
-        assert r.violation.kind == "magnitude_violation"
+        assert r.kind == "magnitude_violation"
 
         r = torus_satellite_obstruction(8, 3, 2, TREFOIL)
-        assert r.verdict == "obstructed"
-        assert r.violation.kind == "same_sign_violation"
+        assert r.kind == "same_sign_violation"
 
         r = torus_satellite_obstruction(9, 2, 3, TREFOIL)
-        assert r.verdict == "obstructed"
-        assert r.violation.kind == "magnitude_violation"
+        assert r.kind == "magnitude_violation"
 
     def test_precondition_rejects(self):
         with pytest.raises(ValueError):
@@ -351,7 +344,7 @@ class TestObstruction:
                     # the arithmetic that leaves no impossible configuration
                     assert w < a and w % b, (a, b, w)
                     r = torus_satellite_obstruction(a, b, w, TREFOIL)
-                    assert r.verdict == "obstructed", (a, b, w, r.verdict)
+                    assert r.kind != "no_violation", (a, b, w, r.kind)
                     seen += 1
         assert seen > 20
 
