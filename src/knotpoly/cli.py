@@ -8,13 +8,14 @@ randomness, no timestamps.
 
 ``--format`` (or the KNOTPOLY_FORMAT environment variable) switches
 alexander/apoly/newton/detect between text and JSON; obstruct, sweep,
-and glue-verify always emit JSON records, one per line.  Sweeps print
-each record as soon as it is built, then a {"summary": ...} record; a
-glue record that fails verification is printed with "ok": false, counted
-in "failed", and makes the sweep exit 1.  Exit codes: 0 success, 1 domain
-error (with a structured {"error": ...} record) or a failing verdict,
-2 usage error, 3 internal invariant failure (PredictionMismatch, with
-the same {"error": ...} record).
+and glue-verify always emit JSON records, one per line.  Sweeps write
+each record as it is built and never hold records back, then a
+{"summary": ...} record; an error record follows the records already
+written.  A glue record that fails verification is printed with
+"ok": false, counted in "failed", and makes the sweep exit 1.  Exit
+codes: 0 success, 1 domain error (with a structured {"error": ...}
+record) or a failing verdict, 2 usage error, 3 internal invariant
+failure (PredictionMismatch, with the same {"error": ...} record).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from typing import TYPE_CHECKING
 import click
 
 if TYPE_CHECKING:
+    from types import ModuleType
+
     from .laurent import LaurentPoly
     from .satellite import CheckedCompanion, WindingCheck
     from .torusknot import TorusKnotSpec
@@ -57,7 +60,7 @@ def _domain_errors(fn):
 
                 if not isinstance(exc, PredictionMismatch):
                     raise
-            click.echo(_dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}}))
+            _echo(_dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}}))
             sys.exit(1 if isinstance(exc, _DOMAIN_ERRORS) else 3)
 
     return wrapper
@@ -65,6 +68,12 @@ def _domain_errors(fn):
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _echo(line: str) -> None:
+    # sys.stdout is looked up on each call because CliRunner swaps it; the
+    # stream's own buffering decides when a record reaches a pipe
+    sys.stdout.write(line + "\n")
 
 
 def _format_option(fn):
@@ -105,9 +114,9 @@ def alexander(knot: str, fmt: str):
     k = torusknot.parse_spec(knot)
     poly = torusknot.alexander(k)
     if fmt == "text":
-        click.echo(str(poly))
+        _echo(str(poly))
     else:
-        click.echo(
+        _echo(
             _dumps(
                 {
                     "knot": _spec_json(k),
@@ -129,9 +138,9 @@ def apoly(knot: str, fmt: str):
     k = torusknot.parse_spec(knot)
     poly = torusknot.enhanced_apoly(k)
     if fmt == "text":
-        click.echo(str(poly))
+        _echo(str(poly))
     else:
-        click.echo(_dumps({"knot": _spec_json(k), "apoly": str(poly)}))
+        _echo(_dumps({"knot": _spec_json(k), "apoly": str(poly)}))
 
 
 # ignore_unknown_options lets polynomial arguments start with a minus sign
@@ -147,17 +156,17 @@ def newton(poly: str, fmt: str):
     npg = apolygon.newton_polygon(f)
     thin = apolygon.thinness(f)
     if fmt == "text":
-        click.echo("points: " + " ".join(f"({l},{m})" for l, m in npg.lattice_points))
-        click.echo("hull: " + " ".join(f"({l},{m})" for l, m in npg.hull_vertices))
-        click.echo("edge slopes: " + " ".join(_slope_str(s) for s in npg.edge_slopes))
+        _echo("points: " + " ".join(f"({l},{m})" for l, m in npg.lattice_points))
+        _echo("hull: " + " ".join(f"({l},{m})" for l, m in npg.hull_vertices))
+        _echo("edge slopes: " + " ".join(_slope_str(s) for s in npg.edge_slopes))
         if thin.kind == "thin":
-            click.echo(f"thinness: thin slope={thin.slope}")
+            _echo(f"thinness: thin slope={thin.slope}")
         elif thin.infinite_slope:
-            click.echo("thinness: not_thin (vertical support)")
+            _echo("thinness: not_thin (vertical support)")
         else:
-            click.echo(f"thinness: {thin.kind}")
+            _echo(f"thinness: {thin.kind}")
     else:
-        click.echo(
+        _echo(
             _dumps(
                 {
                     "points": [list(p) for p in npg.lattice_points],
@@ -188,7 +197,7 @@ def detect(poly: str, degree: int | None, fmt: str):
     else:
         result = apolygon.detect_with_degree(f, degree)
     if fmt == "json":
-        click.echo(
+        _echo(
             _dumps(
                 {
                     "unknot": result.is_unknot,
@@ -199,13 +208,13 @@ def detect(poly: str, degree: int | None, fmt: str):
         )
         return
     if result.is_unknot:
-        click.echo("unknot")
+        _echo("unknot")
     elif not result.candidates:
-        click.echo("no match")
+        _echo("no match")
     else:
         for k in result.candidates:
-            click.echo(str(k))
-        click.echo("unique" if result.unique else "ambiguous")
+            _echo(str(k))
+        _echo("unique" if result.unique else "ambiguous")
 
 
 def _parse_companion(text: str) -> LaurentPoly:
@@ -235,10 +244,14 @@ def _witness_json(check: WindingCheck):
 
 
 def _obstruction_record(
-    a: int, b: int, w: int, companion: LaurentPoly | CheckedCompanion, label: str
+    satellite: ModuleType,
+    a: int,
+    b: int,
+    w: int,
+    companion: LaurentPoly | CheckedCompanion,
+    label: str,
 ) -> tuple[dict, str]:
-    from . import satellite
-
+    # the command imports satellite once and passes the module in
     check = satellite.torus_satellite_obstruction(a, b, w, companion)
     verdict = "not_obstructed" if check.kind == "no_violation" else "obstructed"
     record = {"a": a, "b": b, "w": w, "companion": label, "verdict": verdict}
@@ -258,9 +271,11 @@ def _obstruction_record(
 @_domain_errors
 def obstruct(a: int, b: int, w: int, companion: str):
     """L-space surgery obstruction for a torus-pattern satellite."""
+    from . import satellite
+
     poly = _parse_companion(companion)
-    record, verdict = _obstruction_record(a, b, w, poly, str(poly))
-    click.echo(_dumps(record))
+    record, verdict = _obstruction_record(satellite, a, b, w, poly, str(poly))
+    _echo(_dumps(record))
     if verdict == "not_obstructed":
         sys.exit(1)
 
@@ -301,11 +316,11 @@ def sweep_obstruct(a_max: int, companion_max: int):
             if (a * b) % (w * w):
                 continue
             for label, poly in companions:
-                record, verdict = _obstruction_record(a, b, w, poly, label)
-                click.echo(_dumps(record))
+                record, verdict = _obstruction_record(satellite, a, b, w, poly, label)
+                _echo(_dumps(record))
                 counts[verdict] += 1
                 total += 1
-    click.echo(_dumps({"summary": {"total": total, **counts}}))
+    _echo(_dumps({"summary": {"total": total, **counts}}))
     if counts["not_obstructed"]:
         sys.exit(1)
 
@@ -325,7 +340,7 @@ def sweep_thinness(limit: int):
             thin = apolygon.thinness(torusknot.enhanced_apoly(k))
             expected = k.a * k.b
             ok = thin.kind == "thin" and thin.slope == expected
-            click.echo(
+            _echo(
                 _dumps(
                     {
                         "a": k.a,
@@ -339,7 +354,7 @@ def sweep_thinness(limit: int):
             )
             total += 1
             mismatches += 0 if ok else 1
-    click.echo(_dumps({"summary": {"total": total, "mismatches": mismatches}}))
+    _echo(_dumps({"summary": {"total": total, "mismatches": mismatches}}))
     if mismatches:
         sys.exit(1)
 
@@ -368,17 +383,10 @@ def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
                 "ok": res.ok,
             }
             if kind == "diagonal":
-                polar = repglue.diagonal_polar_data(inst)
-                record["polar"] = {
-                    "s": polar["s"],
-                    "t": polar["t"],
-                    "theta": polar["theta"],
-                    "phi": polar["phi"],
-                    "m": polar["m"],
-                }
-            click.echo(_dumps(record))
+                record["polar"] = {key: ext.polar[key] for key in ("s", "t", "theta", "phi", "m")}
+            _echo(_dumps(record))
             failures += 0 if res.ok else 1
-    click.echo(_dumps({"summary": {"total": len(kinds) * count, "failed": failures}}))
+    _echo(_dumps({"summary": {"total": len(kinds) * count, "failed": failures}}))
     if failures:
         sys.exit(1)
 

@@ -16,14 +16,17 @@ eps with eps^w = eps), jordan_minus (eigenvalue -1 with even w, which
 needs a central character twist).  Everything is double precision.
 construct_extension only builds (mu_P, lam_P); verify_extension is the one
 check, comparing the max-norm residuals of the three equations against a
-configurable absolute tolerance.
+configurable absolute tolerance.  Mat2C powers run binary exponentiation
+on scalars with the products of Mat2C.__mul__, in the same order, so a
+power and every residual equal those of the chain of matrix products bit
+for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 DEFAULT_TOL = 1e-9
@@ -71,16 +74,30 @@ class Mat2C:
         return Mat2C(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def __pow__(self, n: int) -> "Mat2C":
+        """Binary exponentiation from the low bit, on local scalars: each
+        product is written out with the four expressions of __mul__, in
+        the same order, so the result equals the chain of Mat2C products
+        bit for bit while only the returned matrix is built."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = Mat2C.identity()
-        base = self
+        ra, rb, rc, rd = 1, 0, 0, 1
+        ba, bb, bc, bd = self.a, self.b, self.c, self.d
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                ra, rb, rc, rd = (
+                    ra * ba + rb * bc,
+                    ra * bb + rb * bd,
+                    rc * ba + rd * bc,
+                    rc * bb + rd * bd,
+                )
+            ba, bb, bc, bd = (
+                ba * ba + bb * bc,
+                ba * bb + bb * bd,
+                bc * ba + bd * bc,
+                bc * bb + bd * bd,
+            )
             n >>= 1
-        return result
+        return Mat2C(ra, rb, rc, rd)
 
     def dist(self, other: "Mat2C") -> float:
         return max(
@@ -129,12 +146,16 @@ class GlueInstance:
 @dataclass(frozen=True)
 class Extension:
     """Constructed satellite peripheral images, unchecked until
-    verify_extension computes their residuals."""
+    verify_extension computes their residuals.  A diagonal-case extension
+    keeps the diagonal_polar_data it was built from in polar."""
 
     mu_p: Mat2C
     lam_p: Mat2C
     central_twist_used: bool
     chosen_k: int | None
+    # derived from the instance, so it takes no part in equality and the
+    # dict leaves Extension hashable
+    polar: dict | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -251,9 +272,9 @@ def construct_extension(g: GlueInstance) -> Extension:
     Nothing is checked here; verify_extension does that."""
     case = g.case
     if case.kind == "diagonal":
-        data = diagonal_polar_data(g)
-        k = data["k"]
-        eta_root = data["s"] ** (1 / g.w) * cmath.exp(1j * (data["theta"] + 2 * math.pi * k) / g.w)
+        polar = diagonal_polar_data(g)
+        k = polar["k"]
+        eta_root = polar["s"] ** (1 / g.w) * cmath.exp(1j * (polar["theta"] + 2 * math.pi * k) / g.w)
         mu_p = Mat2C.diagonal(eta_root, 1 / eta_root)
         lam_w = case.beta ** g.w
         lam_p = Mat2C.diagonal(lam_w, 1 / lam_w)
@@ -264,10 +285,10 @@ def construct_extension(g: GlueInstance) -> Extension:
         twist = case.kind == "jordan_minus"
         mu_p = Mat2C.upper(1 if twist else case.eps, case.a_off / g.w)
         lam_p = Mat2C.upper(case.eta ** g.w, case.b_off * g.w)
-        k = None
+        k = polar = None
     else:
         raise ValueError(f"unknown case kind {case.kind!r}")
-    return Extension(mu_p, lam_p, twist, k)
+    return Extension(mu_p, lam_p, twist, k, polar)
 
 
 def verify_extension(

@@ -212,6 +212,27 @@ def diagonal_scalar_identity(p, q, w, d, s, t, theta, phi, m, k) -> complex:
     return eta ** (p * w * w // d) * lam_scalar ** (q // d)
 
 
+def binary_power_reference(m, n: int):
+    """m ** n for a 2x2 matrix, from its * operator and inverse() only.
+
+    Binary exponentiation from the low bit: start at the identity with
+    int entries, multiply result * base when the bit is set, square base
+    after every bit.  Built from whole-matrix products, so it checks a
+    power that avoids building the intermediate matrices against the
+    chain of products it must reproduce bit for bit.
+    """
+    if n < 0:
+        return binary_power_reference(m.inverse(), -n)
+    result = type(m)(1, 0, 0, 1)
+    base = m
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 def _selftest() -> None:
     assert torus_alexander_oracle(3, 2) == {1: 1, 0: -1, -1: 1}
     assert torus_alexander_oracle(5, 2) == {2: 1, 1: -1, 0: 1, -1: -1, -2: 1}

@@ -374,6 +374,23 @@ class TestGlueVerify:
         assert "--tolerance" in r.output
         assert '"ok"' not in r.output
 
+    def test_polar_data_computed_once_per_record(self, runner, monkeypatch):
+        args = ["glue-verify", "--case", "diagonal", "--count", "200", "--seed", "7"]
+        plain = runner.invoke(main, args)
+        polar = repglue.diagonal_polar_data
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return polar(g)
+
+        monkeypatch.setattr(repglue, "diagonal_polar_data", counted)
+        r = runner.invoke(main, args)
+        assert r.exit_code == plain.exit_code == 0
+        assert len(calls) == 200
+        assert r.stdout_bytes == plain.stdout_bytes
+        assert len(lines(r)) == 201
+
     def test_records_stream_before_an_error(self, runner, monkeypatch):
         sample = repglue.sample_instance
         calls = []
@@ -436,6 +453,20 @@ class TestModuleEntry:
         assert r.returncode == 0, r.stderr
         modules = r.stdout.strip().splitlines()[-1]
         assert modules == str(sorted(f"knotpoly.{m}" for m in {"cli", *loaded}))
+
+    def test_piped_sweep_matches_in_process(self, runner):
+        # A stdout stream cached at import would miss CliRunner's swap, so
+        # the two runs would not print the same bytes.
+        args = ["sweep", "glue", "--per-case", "5", "--seed", "7"]
+        src = str(Path(knotpoly.__file__).resolve().parents[1])
+        piped = subprocess.run(
+            [sys.executable, "-m", "knotpoly", *args],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
+        )
+        in_process = runner.invoke(main, args)
+        assert piped.returncode == in_process.exit_code == 0
+        assert piped.stdout == in_process.stdout_bytes
+        assert piped.stdout.count(b"\n") == 16
 
     def test_python_m_help(self):
         src = str(Path(knotpoly.__file__).resolve().parents[1])

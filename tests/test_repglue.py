@@ -54,6 +54,46 @@ class TestMat2C:
             acc = acc * m
         assert (m ** 7).dist(acc) < 1e-12
 
+    @pytest.mark.parametrize("shape", ["general", "diagonal", "jordan", "real"])
+    def test_pow_bit_identical_to_reference(self, shape):
+        # Every entry is compared by repr, so -0.0, inf and nan must match
+        # too; large general draws overflow on purpose.
+        rng = Random(shape)
+
+        def rand_complex(spread):
+            return cmath.rect(math.exp(rng.uniform(-spread, spread)), rng.uniform(-math.pi, math.pi))
+
+        def draw():
+            if shape == "general":
+                spread = rng.choice((1.0, 20.0))
+                return Mat2C(*(rand_complex(spread) for _ in range(4)))
+            if shape == "diagonal":
+                x = rand_complex(3.0)
+                return Mat2C(x, 0, 0, 1 / x)
+            if shape == "jordan":
+                eps = rng.choice((1, -1))
+                return Mat2C(eps, rand_complex(3.0), 0, eps)
+            return Mat2C(*(rng.choice((rng.randint(-3, 3), rng.uniform(-2, 2), -0.0)) for _ in range(4)))
+
+        compared = 0
+        for _ in range(60):
+            m = draw()
+            for n in range(-40, 41):
+                try:
+                    expected = oracles.binary_power_reference(m, n)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        m ** n
+                    continue
+                got = m ** n
+                assert type(got) is Mat2C
+                assert [repr(getattr(got, e)) for e in "abcd"] == [
+                    repr(getattr(expected, e)) for e in "abcd"
+                ], (m, n)
+                compared += 1
+        # at least half of the 60 * 81 draws are invertible where needed
+        assert compared >= 2430
+
     def test_det_and_dist(self):
         assert Mat2C(2, 0, 0, 0.5).det() == 1
         assert diag(1, 1).dist(diag(1, 1 + 3e-4)) == pytest.approx(3e-4)
