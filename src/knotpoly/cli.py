@@ -66,8 +66,13 @@ def _domain_errors(fn):
     return wrapper
 
 
+# json.dumps builds a new encoder on every call; one with the same
+# settings is built once here and gives the same bytes.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _echo(line: str) -> None:

@@ -16,10 +16,12 @@ eps with eps^w = eps), jordan_minus (eigenvalue -1 with even w, which
 needs a central character twist).  Everything is double precision.
 construct_extension only builds (mu_P, lam_P); verify_extension is the one
 check, comparing the max-norm residuals of the three equations against a
-configurable absolute tolerance.  Mat2C powers run binary exponentiation
-on scalars with the products of Mat2C.__mul__, in the same order, so a
-power and every residual equal those of the chain of matrix products bit
-for bit.
+configurable absolute tolerance.  The checks read entries: each residual
+is computed from the entries of the matrices it compares, and a product
+or the identity that a residual needs is never built as a Mat2C.  Powers
+stay Mat2C.__pow__, binary exponentiation on scalars with the products
+of Mat2C.__mul__ in the same order, so a power and every residual equal
+those of the chain of matrix products bit for bit.
 """
 
 from __future__ import annotations
@@ -62,12 +64,7 @@ class Mat2C:
         return Mat2C(z * self.a, z * self.b, z * self.c, z * self.d)
 
     def __mul__(self, other: "Mat2C") -> "Mat2C":
-        return Mat2C(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return Mat2C(*_product(self, other))
 
     def inverse(self) -> "Mat2C":
         det = self.det()
@@ -75,13 +72,16 @@ class Mat2C:
 
     def __pow__(self, n: int) -> "Mat2C":
         """Binary exponentiation from the low bit, on local scalars: each
-        product is written out with the four expressions of __mul__, in
-        the same order, so the result equals the chain of Mat2C products
-        bit for bit while only the returned matrix is built."""
-        if n < 0:
-            return self.inverse() ** (-n)
-        ra, rb, rc, rd = 1, 0, 0, 1
+        product is written out with the four expressions of __mul__, and
+        a negative power first inverts with those of inverse(), in the
+        same order, so the result equals the chain of Mat2C products bit
+        for bit while only the returned matrix is built."""
         ba, bb, bc, bd = self.a, self.b, self.c, self.d
+        if n < 0:
+            det = ba * bd - bb * bc
+            ba, bb, bc, bd = bd / det, -bb / det, -bc / det, ba / det
+            n = -n
+        ra, rb, rc, rd = 1, 0, 0, 1
         while n:
             if n & 1:
                 ra, rb, rc, rd = (
@@ -106,6 +106,29 @@ class Mat2C:
             abs(self.c - other.c),
             abs(self.d - other.d),
         )
+
+
+_IDENTITY = (1, 0, 0, 1)
+
+
+def _product(x: Mat2C, y: Mat2C) -> tuple[complex, complex, complex, complex]:
+    """Entries of the product x * y; Mat2C.__mul__ wraps them."""
+    return (
+        x.a * y.a + x.b * y.c,
+        x.a * y.b + x.b * y.d,
+        x.c * y.a + x.d * y.c,
+        x.c * y.b + x.d * y.d,
+    )
+
+
+def _entry_dist(x: tuple, y: tuple) -> float:
+    """Mat2C.dist on entry tuples (a, b, c, d)."""
+    return max(
+        abs(x[0] - y[0]),
+        abs(x[1] - y[1]),
+        abs(x[2] - y[2]),
+        abs(x[3] - y[3]),
+    )
 
 
 @dataclass(frozen=True)
@@ -223,10 +246,9 @@ def glue_instance(p: int, q: int, w: int, mu: Mat2C, lam: Mat2C) -> GlueInstance
     if not isinstance(w, int) or isinstance(w, bool) or w < 1:
         raise ValueError(f"winding number must be an integer >= 1, got {w!r}")
     case = classify_case(mu, lam, w)
-    if (mu * lam).dist(lam * mu) > DEFAULT_TOL:
+    if _entry_dist(_product(mu, lam), _product(lam, mu)) > DEFAULT_TOL:
         raise ValueError("mu and lam must commute")
-    relation = (mu ** p) * (lam ** q)
-    err = relation.dist(Mat2C.identity())
+    err = _entry_dist(_product(mu ** p, lam ** q), _IDENTITY)
     if err > DEFAULT_TOL:
         raise ValueError(f"peripheral relation mu^p lam^q = 1 fails (residual {err:g})")
     return GlueInstance(p, q, w, math.gcd(q, w * w), mu, lam, case)
@@ -304,7 +326,7 @@ def verify_extension(
     residuals = (
         (e.mu_p ** g.w).dist(mu_target),
         e.lam_p.dist(g.lam ** g.w),
-        ((e.mu_p ** e1) * (e.lam_p ** e2)).dist(Mat2C.identity()),
+        _entry_dist(_product(e.mu_p ** e1, e.lam_p ** e2), _IDENTITY),
     )
     for i, r in enumerate(residuals, start=1):
         if not r <= tol:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
-from .torusknot import TorusKnotSpec, alexander, genus, torus_coefficient
+from .torusknot import TorusKnotSpec, _closed_form, _form_coefficient, alexander, genus
 
 
 class PredictionMismatch(RuntimeError):
@@ -164,12 +164,13 @@ def winding_violation(
     Otherwise every witness lies in the window [top - w, top] below the
     product's top exponent top = g + hw, where only the companion's top
     two terms reach; each witness coefficient is summed exactly over
-    those terms, reading each pattern coefficient in O(1) from Lam and
-    Leung's closed form (torus_coefficient), so a record costs O(b)
-    whatever the size of the pattern or the companion.  Any disagreement
-    raises PredictionMismatch.  Requires a > b >= 2 coprime, 1 <= w < a,
-    and an admissible companion of genus >= 1: a LaurentPoly is checked
-    on entry, a CheckedCompanion was checked when it was built.
+    those terms, reading each pattern coefficient in O(1) as
+    torus_coefficient does, from Lam and Leung's closed form computed
+    once per call, so a record costs O(b) whatever the size of the
+    pattern or the companion.  Any disagreement raises PredictionMismatch.
+    Requires a > b >= 2 coprime, 1 <= w < a, and an admissible companion
+    of genus >= 1: a LaurentPoly is checked on entry, a CheckedCompanion
+    was checked when it was built.
     """
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or not 1 <= w < a:
@@ -189,7 +190,7 @@ def winding_violation(
             )
         return WindingCheck("no_violation")
 
-    pattern = TorusKnotSpec(a, b)
+    form = _closed_form(TorusKnotSpec(a, b))
 
     def coefficient(e: int) -> int:
         # companion term k reaches exponent e only if e - w*k <= g
@@ -197,7 +198,7 @@ def winding_violation(
         for k, c in companion.terms:
             if e - w * k > g:
                 break
-            total += c * torus_coefficient(pattern, e - w * k)
+            total += c * _form_coefficient(form, e - w * k)
         return total
 
     if r == 1:

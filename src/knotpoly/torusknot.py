@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .laurent import LaurentPoly, _raw
@@ -22,6 +21,8 @@ from .laurent import LaurentPoly, _raw
 MAX_TERMS = 1_000_000
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .apolygon import BiPoly
 
 
@@ -120,7 +121,12 @@ def torus_coefficient(k: TorusKnotSpec, e: int) -> int:
     j = (n - ip) / q.  The coefficient is +1 when i <= r and 0 <= j <= s,
     -1 when r < i and s < j + p < p, and 0 otherwise.
     """
-    p, q, g, r, s = _closed_form(k)
+    return _form_coefficient(_closed_form(k), e)
+
+
+def _form_coefficient(form: tuple[int, int, int, int, int], e: int) -> int:
+    # torus_coefficient from a _closed_form computed once by the caller
+    p, q, g, r, s = form
     if abs(e) > g:
         return 0
     n = e + g
@@ -162,6 +168,9 @@ def enhanced_apoly(k: TorusKnotSpec) -> BiPoly:
 def abelian_slope_family(k: TorusKnotSpec, n_max: int) -> tuple[list[Fraction], int]:
     """Surgery slopes (n*ab + 1)/n for 1 <= n <= n_max, in lowest terms,
     plus the limiting slope ab they accumulate at."""
+    # imported here so that the queries that never build a slope skip it
+    from fractions import Fraction
+
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     ab = k.a * k.b

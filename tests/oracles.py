@@ -233,6 +233,30 @@ def binary_power_reference(m, n: int):
     return result
 
 
+def instance_residuals_reference(mu, lam, p: int, q: int) -> tuple[float, float]:
+    """Commutation and relation residuals of a glue instance, from whole
+    matrices: (mu * lam).dist(lam * mu) and the distance from
+    mu^p * lam^q to identity(), with powers by binary_power_reference."""
+    relation = binary_power_reference(mu, p) * binary_power_reference(lam, q)
+    return (mu * lam).dist(lam * mu), relation.dist(type(mu).identity())
+
+
+def extension_residuals_reference(g, e) -> tuple[float, float, float]:
+    """The three residuals of an extension e of instance g, from whole
+    matrices: (1) mu_P^w against mu (times -1 under the central twist),
+    (2) lam_P against lam^w, (3) mu_P^(p w^2 / d) * lam_P^(q / d) against
+    identity(); powers by binary_power_reference."""
+    mu_target = g.mu.scaled(-1) if e.central_twist_used else g.mu
+    e1 = g.p * (g.w * g.w // g.d)
+    e2 = g.q // g.d
+    relation = binary_power_reference(e.mu_p, e1) * binary_power_reference(e.lam_p, e2)
+    return (
+        binary_power_reference(e.mu_p, g.w).dist(mu_target),
+        e.lam_p.dist(binary_power_reference(g.lam, g.w)),
+        relation.dist(type(e.mu_p).identity()),
+    )
+
+
 def _selftest() -> None:
     assert torus_alexander_oracle(3, 2) == {1: 1, 0: -1, -1: 1}
     assert torus_alexander_oracle(5, 2) == {2: 1, 1: -1, 0: 1, -1: -1, -2: 1}

@@ -269,6 +269,23 @@ class TestSweeps:
         cases = [rec["case"] for rec in recs[:-1]]
         assert cases == ["diagonal"] * 5 + ["jordan_plus"] * 5 + ["jordan_minus"] * 5
 
+    def test_glue_sweep_powers_through_mat2c(self, runner, monkeypatch):
+        # Every power of the glue checks is a Mat2C.__pow__ call, one per
+        # power (6 per record: 2 in glue_instance, 4 in verify_extension),
+        # and no check multiplies whole matrices.
+        calls = {"__pow__": 0, "__mul__": 0}
+        for name in calls:
+            real = getattr(repglue.Mat2C, name)
+
+            def counted(self, other, name=name, real=real):
+                calls[name] += 1
+                return real(self, other)
+
+            monkeypatch.setattr(repglue.Mat2C, name, counted)
+        r = runner.invoke(main, ["sweep", "glue", "--per-case", "5", "--seed", "7"])
+        assert r.exit_code == 0
+        assert calls == {"__pow__": 90, "__mul__": 0}
+
     def test_sweep_determinism(self, runner):
         a = runner.invoke(main, ["sweep", "glue", "--per-case", "4", "--seed", "11"]).output
         b = runner.invoke(main, ["sweep", "glue", "--per-case", "4", "--seed", "11"]).output
@@ -453,6 +470,32 @@ class TestModuleEntry:
         assert r.returncode == 0, r.stderr
         modules = r.stdout.strip().splitlines()[-1]
         assert modules == str(sorted(f"knotpoly.{m}" for m in {"cli", *loaded}))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["alexander", "T(5,2)"],
+            ["obstruct", "--a", "9", "--b", "4", "--w", "3", "--companion", "T(3,2)"],
+        ],
+    )
+    def test_queries_skip_fractions(self, args):
+        # only abelian_slope_family builds a Fraction, and no command calls it
+        src = str(Path(knotpoly.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from knotpoly.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print('fractions' in sys.modules)\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip().splitlines()[-1] == "False"
 
     def test_piped_sweep_matches_in_process(self, runner):
         # A stdout stream cached at import would miss CliRunner's swap, so

@@ -1,15 +1,18 @@
-"""Every tiny benchmark invocation reproduces its recorded output.
+"""Benchmark invocations reproduce their recorded output.
 
 The benchmark in ``perfbench/`` records, for each CLI invocation a
 workload can run, the exit code and the SHA-256 of stdout
-(``perfbench/goldens.json``).  This runs the tiny-size invocations in
-process and compares; nothing under ``perfbench/`` is written.
+(``perfbench/goldens.json``).  This runs every tiny-size invocation and
+two full-size glue sweeps in process and compares; nothing under
+``perfbench/`` is written.
 """
 
 import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from click.testing import CliRunner
 
@@ -20,18 +23,33 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
-GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))["invocations"]
+_RECORDED = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))
+GOLDENS = _RECORDED["invocations"]
+GLUE_ABORTS = _RECORDED["glue_aborts"]["full"]
 INVOCATIONS = workloads.all_invocations("tiny")
+
+
+def replay(args):
+    r = CliRunner().invoke(main, list(args), env={"KNOTPOLY_FORMAT": None})
+    return r.exit_code, hashlib.sha256(r.stdout_bytes).hexdigest()
 
 
 def test_tiny_invocations_match_goldens():
     assert len(INVOCATIONS) == 333
-    runner = CliRunner()
     mismatched = []
     for args in INVOCATIONS:
         golden = GOLDENS[workloads.key(args)]
-        r = runner.invoke(main, list(args), env={"KNOTPOLY_FORMAT": None})
-        digest = hashlib.sha256(r.stdout_bytes).hexdigest()
-        if (r.exit_code, digest) != (golden["exit"], golden["sha256"]):
+        if replay(args) != (golden["exit"], golden["sha256"]):
             mismatched.append(workloads.key(args))
     assert not mismatched
+
+
+@pytest.mark.parametrize("cli_seed", [3, 17])
+def test_full_glue_sweep_matches_golden(cli_seed):
+    # 6,000 records each, against 15 per tiny sweep; neither seed aborts
+    assert cli_seed not in GLUE_ABORTS
+    per_case = workloads.GLUE_PER_CASE["full"]
+    args = ("sweep", "glue", "--per-case", str(per_case), "--seed", str(cli_seed))
+    golden = GOLDENS[workloads.key(args)]
+    assert golden["exit"] == 0 and golden["records"] == 3 * per_case
+    assert replay(args) == (0, golden["sha256"])

@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from knotpoly import repglue
 from knotpoly.repglue import (
     CASE_KINDS,
     DEFAULT_TOL,
@@ -375,3 +376,104 @@ class TestPerturbation:
         rng = Random(9)
         g = sample_instance("diagonal", rng)
         assert not verify_extension(g, construct_extension(g), tol=1e-18).ok
+
+
+class TestResidualsMatchReference:
+    """glue_instance and verify_extension read matrix entries; their
+    residuals must equal, by repr, those of the whole-matrix chain in
+    tests/oracles.py, and their errors must be the same."""
+
+    @staticmethod
+    def assert_same_outcome(p, q, w, mu, lam):
+        """glue_instance raises the error the reference residuals predict,
+        or none; returns that error's message or None."""
+        commute, relation = oracles.instance_residuals_reference(mu, lam, p, q)
+        if commute > DEFAULT_TOL:
+            expected = "mu and lam must commute"
+        elif relation > DEFAULT_TOL:
+            expected = f"peripheral relation mu^p lam^q = 1 fails (residual {relation:g})"
+        else:
+            glue_instance(p, q, w, mu, lam)
+            return None
+        with pytest.raises(ValueError) as info:
+            glue_instance(p, q, w, mu, lam)
+        assert str(info.value) == expected
+        return expected
+
+    @pytest.mark.parametrize("kind", CASE_KINDS)
+    def test_residuals_bit_identical(self, kind, monkeypatch):
+        # glue_instance's two residuals are read where it computes them,
+        # from the entry distance it calls
+        entry_dist = repglue._entry_dist
+        seen = []
+
+        def recorded(x, y):
+            seen.append(entry_dist(x, y))
+            return seen[-1]
+
+        monkeypatch.setattr(repglue, "_entry_dist", recorded)
+        rng = Random(kind)
+        negative_p = 0
+        for _ in range(300):
+            g = sample_instance(kind, rng)
+            negative_p += g.p < 0
+            seen.clear()
+            assert glue_instance(g.p, g.q, g.w, g.mu, g.lam) == g
+            expected = oracles.instance_residuals_reference(g.mu, g.lam, g.p, g.q)
+            assert list(map(repr, seen)) == list(map(repr, expected)), g
+            e = construct_extension(g)
+            bumped = Extension(
+                e.mu_p, replace(e.lam_p, d=e.lam_p.d + 1e-3), e.central_twist_used, e.chosen_k
+            )
+            for ext in (e, bumped):
+                got = verify_extension(g, ext).residuals
+                expected = oracles.extension_residuals_reference(g, ext)
+                assert list(map(repr, got)) == list(map(repr, expected)), g
+        assert negative_p >= 100
+
+    def test_non_commuting_pairs_match_reference(self):
+        # lam.b within DEFAULT_TOL still classifies as diagonal, so the
+        # commutation residual |lam.b (alpha - 1/alpha)| decides
+        rng = Random(31)
+        outcomes = set()
+        for _ in range(300):
+            g = sample_instance("diagonal", rng)
+            off = cmath.rect(rng.uniform(0, DEFAULT_TOL), rng.uniform(-math.pi, math.pi))
+            lam = replace(g.lam, b=off)
+            classify_case(g.mu, lam, g.w)
+            outcomes.add(self.assert_same_outcome(g.p, g.q, g.w, g.mu, lam))
+        assert "mu and lam must commute" in outcomes
+        assert len(outcomes) >= 2
+
+    @pytest.mark.parametrize("kind", CASE_KINDS)
+    def test_failing_relation_matches_reference(self, kind):
+        rng = Random(f"relation-{kind}")
+        for _ in range(200):
+            g = sample_instance(kind, rng)
+            delta = rng.uniform(1e-8, 1e-3)
+            if kind == "diagonal":
+                beta = g.lam.a * (1 + delta)
+                lam = diag(beta, 1 / beta)
+            else:
+                lam = replace(g.lam, b=g.lam.b + delta)
+            expected = self.assert_same_outcome(g.p, g.q, g.w, g.mu, lam)
+            assert expected is not None and expected.startswith("peripheral relation")
+
+    def test_singular_negative_power_raises(self):
+        for m in (Mat2C(1, 2, 2, 4), Mat2C(1j, 1, -1, 1j), Mat2C(0, 0, 0, 0)):
+            for n in (-1, -2, -7):
+                with pytest.raises(ZeroDivisionError):
+                    oracles.binary_power_reference(m, n)
+                with pytest.raises(ZeroDivisionError):
+                    m ** n
+        # residual (3) takes mu_P to p w^2 / d < 0
+        rng = Random(3)
+        g = sample_instance("jordan_plus", rng)
+        while g.p >= 0:
+            g = sample_instance("jordan_plus", rng)
+        e = construct_extension(g)
+        singular = Extension(Mat2C(1, 2, 2, 4), e.lam_p, e.central_twist_used, e.chosen_k)
+        with pytest.raises(ZeroDivisionError):
+            oracles.extension_residuals_reference(g, singular)
+        with pytest.raises(ZeroDivisionError):
+            verify_extension(g, singular)

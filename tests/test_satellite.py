@@ -235,23 +235,37 @@ class TestWindingViolation:
         ],
     )
     def test_perturbed_pattern_raises(self, monkeypatch, a, b, w, e, match):
-        # The witness reads the pattern only through torus_coefficient.
+        # The witness reads the pattern only through torusknot's
+        # _form_coefficient (torus_coefficient on a precomputed closed form).
         # Adding 1 to the pattern's coefficient at e - w adds 1 to the
         # product's coefficient at e (TREFOIL's top term is +t) and moves no
         # other exponent of the window [top - w, top], so the witness
         # computed from the terms must disagree with the prediction.
         assert winding_violation(a, b, w, TREFOIL).kind != "no_violation"
-        real = satellite.torus_coefficient
+        real = satellite._form_coefficient
         reads = []
 
-        def perturbed(k, x):
+        def perturbed(form, x):
             reads.append(x)
-            return real(k, x) + (x == e - w)
+            return real(form, x) + (x == e - w)
 
-        monkeypatch.setattr(satellite, "torus_coefficient", perturbed)
+        monkeypatch.setattr(satellite, "_form_coefficient", perturbed)
         with pytest.raises(PredictionMismatch, match=match):
             winding_violation(a, b, w, TREFOIL)
         assert e - w in reads
+
+    def test_closed_form_computed_once_per_call(self, monkeypatch):
+        real = satellite._closed_form
+        forms = []
+
+        def counted(k):
+            forms.append(k)
+            return real(k)
+
+        monkeypatch.setattr(satellite, "_closed_form", counted)
+        # r >= 2 reads both witnesses and every exponent between them
+        assert winding_violation(7, 4, 3, TREFOIL).kind == "same_sign_violation"
+        assert forms == [TorusKnotSpec(7, 4)]
 
     def test_witness_never_builds_the_pattern(self, monkeypatch):
         # w mod b != 0 reads pattern coefficients in O(1); only w mod b == 0
