@@ -306,14 +306,17 @@ def sweep_obstruct(a_max: int, companion_max: int):
     """Check every torus-pattern satellite with w^2 | ab in range."""
     from . import satellite, torusknot
 
-    # each companion is checked once here, not once per record
-    companions = [
-        (
-            f"T({p},{q})",
-            satellite.check_companion(torusknot.alexander(torusknot.TorusKnotSpec(p, q))),
+    specs = [torusknot.TorusKnotSpec(p, q) for p, q in _coprime_pairs(companion_max)]
+    # every companion polynomial is held for the whole sweep, so their
+    # terms together get alexander's limit, checked before any is built
+    terms = sum(map(torusknot.term_count, specs))
+    if terms > torusknot.MAX_TERMS:
+        raise ValueError(
+            f"companions up to {companion_max} have {terms} nonzero Alexander terms, "
+            f"more than the limit {torusknot.MAX_TERMS}"
         )
-        for p, q in _coprime_pairs(companion_max)
-    ]
+    # each companion is checked once here, not once per record
+    companions = [(str(k), satellite.check_companion(torusknot.alexander(k))) for k in specs]
     counts = {"obstructed": 0, "config_impossible": 0, "not_obstructed": 0}
     total = 0
     for a, b in _coprime_pairs(a_max):

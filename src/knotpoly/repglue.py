@@ -19,9 +19,10 @@ check, comparing the max-norm residuals of the three equations against a
 configurable absolute tolerance.  The checks read entries: each residual
 is computed from the entries of the matrices it compares, and a product
 or the identity that a residual needs is never built as a Mat2C.  Powers
-stay Mat2C.__pow__, binary exponentiation on scalars with the products
-of Mat2C.__mul__ in the same order, so a power and every residual equal
-those of the chain of matrix products bit for bit.
+are Mat2C.__pow__, binary exponentiation on scalars with the expressions
+of _product in the same order, so a power and every residual equal those
+of the chain of whole-matrix products bit for bit; that whole-matrix
+reference lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from random import Random
 
 DEFAULT_TOL = 1e-9
 _ANGLE_TOL = 1e-6
+# entries (a, b, c, d) of the identity matrix
+_IDENTITY = (1, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,6 @@ class Mat2C:
     b: complex
     c: complex
     d: complex
-
-    @staticmethod
-    def identity() -> "Mat2C":
-        return Mat2C(1, 0, 0, 1)
 
     @staticmethod
     def diagonal(x: complex, y: complex) -> "Mat2C":
@@ -63,25 +62,19 @@ class Mat2C:
     def scaled(self, z: complex) -> "Mat2C":
         return Mat2C(z * self.a, z * self.b, z * self.c, z * self.d)
 
-    def __mul__(self, other: "Mat2C") -> "Mat2C":
-        return Mat2C(*_product(self, other))
-
-    def inverse(self) -> "Mat2C":
-        det = self.det()
-        return Mat2C(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
     def __pow__(self, n: int) -> "Mat2C":
         """Binary exponentiation from the low bit, on local scalars: each
-        product is written out with the four expressions of __mul__, and
-        a negative power first inverts with those of inverse(), in the
-        same order, so the result equals the chain of Mat2C products bit
-        for bit while only the returned matrix is built."""
+        product is written out with the four expressions of _product, and
+        a negative power first inverts with d/det, -b/det, -c/det, a/det
+        (det = ad - bc), in the same order, so the result equals the chain
+        of whole-matrix products bit for bit while only the returned
+        matrix is built."""
         ba, bb, bc, bd = self.a, self.b, self.c, self.d
         if n < 0:
             det = ba * bd - bb * bc
             ba, bb, bc, bd = bd / det, -bb / det, -bc / det, ba / det
             n = -n
-        ra, rb, rc, rd = 1, 0, 0, 1
+        ra, rb, rc, rd = _IDENTITY
         while n:
             if n & 1:
                 ra, rb, rc, rd = (
@@ -108,11 +101,8 @@ class Mat2C:
         )
 
 
-_IDENTITY = (1, 0, 0, 1)
-
-
 def _product(x: Mat2C, y: Mat2C) -> tuple[complex, complex, complex, complex]:
-    """Entries of the product x * y; Mat2C.__mul__ wraps them."""
+    """Entries (a, b, c, d) of the matrix product x y."""
     return (
         x.a * y.a + x.b * y.c,
         x.a * y.b + x.b * y.d,
@@ -186,7 +176,6 @@ class VerifyResult:
     ok: bool
     residuals: tuple[float, float, float]
     failed_equation: int | None = None
-    residual: float | None = None
 
 
 def classify_case(mu: Mat2C, lam: Mat2C, w: int) -> PeripheralCase:
@@ -330,7 +319,7 @@ def verify_extension(
     )
     for i, r in enumerate(residuals, start=1):
         if not r <= tol:
-            return VerifyResult(False, residuals, failed_equation=i, residual=r)
+            return VerifyResult(False, residuals, failed_equation=i)
     return VerifyResult(True, residuals)
 
 

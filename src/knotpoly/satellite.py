@@ -190,7 +190,7 @@ def winding_violation(
             )
         return WindingCheck("no_violation")
 
-    form = _closed_form(TorusKnotSpec(a, b))
+    form = _closed_form(a, b)
 
     def coefficient(e: int) -> int:
         # companion term k reaches exponent e only if e - w*k <= g

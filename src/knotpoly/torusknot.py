@@ -72,10 +72,10 @@ def genus(k: TorusKnotSpec) -> int:
     return (abs(k.a) - 1) * (k.b - 1) // 2
 
 
-def _closed_form(k: TorusKnotSpec) -> tuple[int, int, int, int, int]:
-    # p, q, the genus g and Lam and Leung's r, s >= 0 with rp + sq = 2g
-    p, q = abs(k.a), k.b
-    g = genus(k)
+def _closed_form(p: int, q: int) -> tuple[int, int, int, int, int]:
+    # for T(p, q) with p > q >= 2 coprime: p, q, the genus g and Lam and
+    # Leung's r, s >= 0 with rp + sq = 2g
+    g = (p - 1) * (q - 1) // 2
     r = (pow(p, -1, q) - 1) % q
     return p, q, g, r, (2 * g - r * p) // q
 
@@ -83,7 +83,7 @@ def _closed_form(k: TorusKnotSpec) -> tuple[int, int, int, int, int]:
 def term_count(k: TorusKnotSpec) -> int:
     """Number of nonzero terms of alexander(k), (r+1)(s+1) + (q-r-1)(p-s-1)
     in the notation of ``alexander``; computed without building it."""
-    p, q, _, r, s = _closed_form(k)
+    p, q, _, r, s = _closed_form(abs(k.a), k.b)
     return (r + 1) * (s + 1) + (q - r - 1) * (p - s - 1)
 
 
@@ -104,7 +104,7 @@ def alexander(k: TorusKnotSpec) -> LaurentPoly:
         raise ValueError(
             f"{k} has {count} nonzero Alexander terms, more than the limit {MAX_TERMS}"
         )
-    p, q, g, r, s = _closed_form(k)
+    p, q, g, r, s = _closed_form(abs(k.a), k.b)
     terms = {i * p + j * q - g: 1 for i in range(r + 1) for j in range(s + 1)}
     terms.update(
         (i * p + j * q - p * q - g, -1) for i in range(r + 1, q) for j in range(s + 1, p)
@@ -121,7 +121,7 @@ def torus_coefficient(k: TorusKnotSpec, e: int) -> int:
     j = (n - ip) / q.  The coefficient is +1 when i <= r and 0 <= j <= s,
     -1 when r < i and s < j + p < p, and 0 otherwise.
     """
-    return _form_coefficient(_closed_form(k), e)
+    return _form_coefficient(_closed_form(abs(k.a), k.b), e)
 
 
 def _form_coefficient(form: tuple[int, int, int, int, int], e: int) -> int:

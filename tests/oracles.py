@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from math import gcd
 
 # A dense polynomial is (offset, coeffs) representing
@@ -212,8 +213,37 @@ def diagonal_scalar_identity(p, q, w, d, s, t, theta, phi, m, k) -> complex:
     return eta ** (p * w * w // d) * lam_scalar ** (q // d)
 
 
+# 2x2 matrices for the glue references: any type with fields a, b, c, d
+# that builds positionally as type(m)(a, b, c, d).  Each product and
+# inverse is written out here, so the references share no arithmetic
+# with the package's entry-level helpers.
+
+
+def mat_identity(like):
+    return type(like)(1, 0, 0, 1)
+
+
+def mat_product(x, y):
+    return type(x)(
+        x.a * y.a + x.b * y.c,
+        x.a * y.b + x.b * y.d,
+        x.c * y.a + x.d * y.c,
+        x.c * y.b + x.d * y.d,
+    )
+
+
+def mat_inverse(m):
+    det = m.a * m.d - m.b * m.c
+    return type(m)(m.d / det, -m.b / det, -m.c / det, m.a / det)
+
+
+def mat_dist(x, y) -> float:
+    """Largest entry-wise distance |x - y|."""
+    return max(abs(x.a - y.a), abs(x.b - y.b), abs(x.c - y.c), abs(x.d - y.d))
+
+
 def binary_power_reference(m, n: int):
-    """m ** n for a 2x2 matrix, from its * operator and inverse() only.
+    """m ** n for a 2x2 matrix, from mat_product and mat_inverse only.
 
     Binary exponentiation from the low bit: start at the identity with
     int entries, multiply result * base when the bit is set, square base
@@ -222,39 +252,49 @@ def binary_power_reference(m, n: int):
     chain of products it must reproduce bit for bit.
     """
     if n < 0:
-        return binary_power_reference(m.inverse(), -n)
-    result = type(m)(1, 0, 0, 1)
+        return binary_power_reference(mat_inverse(m), -n)
+    result = mat_identity(m)
     base = m
     while n:
         if n & 1:
-            result = result * base
-        base = base * base
+            result = mat_product(result, base)
+        base = mat_product(base, base)
         n >>= 1
     return result
 
 
 def instance_residuals_reference(mu, lam, p: int, q: int) -> tuple[float, float]:
     """Commutation and relation residuals of a glue instance, from whole
-    matrices: (mu * lam).dist(lam * mu) and the distance from
-    mu^p * lam^q to identity(), with powers by binary_power_reference."""
-    relation = binary_power_reference(mu, p) * binary_power_reference(lam, q)
-    return (mu * lam).dist(lam * mu), relation.dist(type(mu).identity())
+    matrices: the distance from mu * lam to lam * mu and from
+    mu^p * lam^q to the identity, with powers by binary_power_reference."""
+    relation = mat_product(binary_power_reference(mu, p), binary_power_reference(lam, q))
+    return (
+        mat_dist(mat_product(mu, lam), mat_product(lam, mu)),
+        mat_dist(relation, mat_identity(mu)),
+    )
 
 
 def extension_residuals_reference(g, e) -> tuple[float, float, float]:
     """The three residuals of an extension e of instance g, from whole
     matrices: (1) mu_P^w against mu (times -1 under the central twist),
     (2) lam_P against lam^w, (3) mu_P^(p w^2 / d) * lam_P^(q / d) against
-    identity(); powers by binary_power_reference."""
-    mu_target = g.mu.scaled(-1) if e.central_twist_used else g.mu
+    the identity; powers by binary_power_reference."""
+    mu = g.mu
+    if e.central_twist_used:
+        mu = type(mu)(-1 * mu.a, -1 * mu.b, -1 * mu.c, -1 * mu.d)
     e1 = g.p * (g.w * g.w // g.d)
     e2 = g.q // g.d
-    relation = binary_power_reference(e.mu_p, e1) * binary_power_reference(e.lam_p, e2)
-    return (
-        binary_power_reference(e.mu_p, g.w).dist(mu_target),
-        e.lam_p.dist(binary_power_reference(g.lam, g.w)),
-        relation.dist(type(e.mu_p).identity()),
+    relation = mat_product(
+        binary_power_reference(e.mu_p, e1), binary_power_reference(e.lam_p, e2)
     )
+    return (
+        mat_dist(binary_power_reference(e.mu_p, g.w), mu),
+        mat_dist(e.lam_p, binary_power_reference(g.lam, g.w)),
+        mat_dist(relation, mat_identity(e.mu_p)),
+    )
+
+
+_Mat = namedtuple("_Mat", "a b c d")
 
 
 def _selftest() -> None:
@@ -270,6 +310,14 @@ def _selftest() -> None:
     assert coprime_splits_brute(75) == [(3, 25)]
     assert hull_is_valid([(0, 0), (2, 210)], [(0, 0), (2, 210)])
     assert hull_is_valid([(0, 0), (1, 0), (1, 6), (2, 6)], [(0, 0), (1, 0), (2, 6), (1, 6)])
+    m = _Mat(2, 1, 1, 1)
+    assert mat_identity(m) == _Mat(1, 0, 0, 1)
+    assert mat_product(_Mat(1, 2, 3, 4), _Mat(5, 6, 7, 8)) == _Mat(19, 22, 43, 50)
+    assert mat_inverse(m) == _Mat(1, -1, -1, 2)
+    assert mat_product(m, mat_inverse(m)) == mat_identity(m)
+    assert mat_dist(m, _Mat(2, 1, 1.5, 1 - 2j)) == 2
+    assert binary_power_reference(m, 3) == _Mat(13, 8, 8, 5)
+    assert binary_power_reference(m, -2) == _Mat(2, -3, -3, 5)
     print("oracle selftest passed")
 
 

@@ -261,6 +261,36 @@ class TestSweeps:
         # companions T(3,2), T(4,3), T(5,2), T(5,3), T(5,4)
         assert len(calls) == 5 < total
 
+    def test_obstruct_sweep_builds_each_companion_spec_once(self, runner, monkeypatch):
+        # records read the pattern's closed form from (a, b); only the five
+        # companions build a TorusKnotSpec
+        from knotpoly import torusknot
+
+        specs = []
+        real = torusknot.TorusKnotSpec.__post_init__
+
+        def counted(self):
+            specs.append((self.a, self.b))
+            real(self)
+
+        monkeypatch.setattr(torusknot.TorusKnotSpec, "__post_init__", counted)
+        r = runner.invoke(main, ["sweep", "obstruct", "--a-max", "8", "--companion-max", "5"])
+        assert r.exit_code == 0
+        assert specs == [(3, 2), (4, 3), (5, 2), (5, 3), (5, 4)]
+
+    def test_obstruct_sweep_refuses_companions_past_max_terms(self, runner):
+        # companions up to 78 have 944,986 terms in all, up to 79 1,027,145;
+        # the refusal comes before any companion polynomial is built
+        r = runner.invoke(main, ["sweep", "obstruct", "--a-max", "3", "--companion-max", "79"])
+        assert r.exit_code == 1
+        assert json.loads(r.output) == {
+            "error": {
+                "kind": "ValueError",
+                "detail": "companions up to 79 have 1027145 nonzero Alexander terms, "
+                "more than the limit 1000000",
+            }
+        }
+
     def test_glue_sweep(self, runner):
         r = runner.invoke(main, ["sweep", "glue", "--per-case", "5", "--seed", "3"])
         assert r.exit_code == 0
@@ -272,19 +302,20 @@ class TestSweeps:
     def test_glue_sweep_powers_through_mat2c(self, runner, monkeypatch):
         # Every power of the glue checks is a Mat2C.__pow__ call, one per
         # power (6 per record: 2 in glue_instance, 4 in verify_extension),
-        # and no check multiplies whole matrices.
-        calls = {"__pow__": 0, "__mul__": 0}
-        for name in calls:
-            real = getattr(repglue.Mat2C, name)
+        # and every product a check needs is _product on entries (4 per
+        # record: 3 in glue_instance, 1 in verify_extension).
+        calls = {"__pow__": 0, "_product": 0}
+        for owner, name in ((repglue.Mat2C, "__pow__"), (repglue, "_product")):
+            real = getattr(owner, name)
 
-            def counted(self, other, name=name, real=real):
+            def counted(x, y, name=name, real=real):
                 calls[name] += 1
-                return real(self, other)
+                return real(x, y)
 
-            monkeypatch.setattr(repglue.Mat2C, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         r = runner.invoke(main, ["sweep", "glue", "--per-case", "5", "--seed", "7"])
         assert r.exit_code == 0
-        assert calls == {"__pow__": 90, "__mul__": 0}
+        assert calls == {"__pow__": 90, "_product": 60}
 
     def test_sweep_determinism(self, runner):
         a = runner.invoke(main, ["sweep", "glue", "--per-case", "4", "--seed", "11"]).output

@@ -258,14 +258,14 @@ class TestWindingViolation:
         real = satellite._closed_form
         forms = []
 
-        def counted(k):
-            forms.append(k)
-            return real(k)
+        def counted(p, q):
+            forms.append((p, q))
+            return real(p, q)
 
         monkeypatch.setattr(satellite, "_closed_form", counted)
         # r >= 2 reads both witnesses and every exponent between them
         assert winding_violation(7, 4, 3, TREFOIL).kind == "same_sign_violation"
-        assert forms == [TorusKnotSpec(7, 4)]
+        assert forms == [(7, 4)]
 
     def test_witness_never_builds_the_pattern(self, monkeypatch):
         # w mod b != 0 reads pattern coefficients in O(1); only w mod b == 0
