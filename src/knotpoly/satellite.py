@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
-from .torusknot import TorusKnotSpec, _closed_form, _form_coefficient, alexander
+# alexander is unused: perfbench's binding self-test asserts satellite.alexander is torusknot's
+from .torusknot import MAX_TERMS, _closed_form, _form_coefficient, alexander
 
 
 class PredictionMismatch(RuntimeError):
@@ -117,7 +118,7 @@ def lspace_admissible(f: LaurentPoly) -> AdmissibilityReport:
 
 @dataclass(frozen=True)
 class WindingCheck:
-    """kind is no_violation, magnitude_violation (exponent, coefficient) or
+    """kind is magnitude_violation (exponent, coefficient) or
     same_sign_violation (exponent pair, coefficients, higher first)."""
 
     kind: str
@@ -129,12 +130,12 @@ class WindingCheck:
 
 @dataclass(frozen=True)
 class CheckedCompanion:
-    """A companion polynomial that passed check_companion: admissible, of
-    genus h >= 1, so a witness reads it as its top two terms t^h - t^(h-1).
-    Build it with check_companion, once per companion, and pass it to
-    winding_violation or torus_satellite_obstruction for every record."""
+    """The genus h >= 1 of a companion polynomial that passed
+    check_companion; being admissible, the companion's top two terms are
+    t^h - t^(h-1), which is all a witness reads of it.  Build it with
+    check_companion, once per companion, and pass it to winding_violation
+    or torus_satellite_obstruction for every record."""
 
-    poly: LaurentPoly
     genus: int
 
 
@@ -149,7 +150,7 @@ def check_companion(companion: LaurentPoly) -> CheckedCompanion:
     h = companion.span()[1]
     if h < 1:
         raise ValueError("companion genus must be >= 1")
-    return CheckedCompanion(companion, h)
+    return CheckedCompanion(h)
 
 
 def winding_violation(
@@ -158,18 +159,18 @@ def winding_violation(
     """Locate the admissibility violation that the residue of w mod b
     forces in alexander(T(a, b))(t) * companion(t^w).
 
-    The classification is verified against the product's coefficients:
-    when w is a multiple of b the full product is built and scanned.
-    Otherwise every witness lies in the window [top - w, top] below the
-    product's top exponent top = g + hw, where only the companion's top
-    two terms t^h - t^(h-1) reach; each witness coefficient is a difference
-    of two pattern coefficients, read in O(1) as torus_coefficient does,
-    from Lam and Leung's closed form computed once per call, so a record
-    costs O(b) whatever the size of the pattern or the companion.  Any
+    Every witness lies in the window [top - w, top] below the product's
+    top exponent top = g + hw, where only the companion's top two terms
+    t^h - t^(h-1) reach; each witness coefficient is a difference of two
+    pattern coefficients, read in O(1) as torus_coefficient does, from
+    Lam and Leung's closed form computed once per call, so a record costs
+    O(w mod b) whatever the size of the pattern or the companion.  Any
     disagreement raises PredictionMismatch.
     Requires a > b >= 2 coprime, 1 <= w < a, and an admissible companion
     of genus >= 1: a LaurentPoly is checked on entry, a CheckedCompanion
-    was checked when it was built.
+    was checked when it was built.  Raises ValueError when b divides w,
+    where no residue witness exists, and when the same-sign gap would
+    span more than MAX_TERMS exponents.
     """
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or not 1 <= w < a:
@@ -181,13 +182,11 @@ def winding_violation(
 
     r = w % b
     if r == 0:
-        product = alexander(TorusKnotSpec(a, b)) * companion.poly.dilate(w)
-        scan = lspace_admissible(product)
-        if scan.verdict != "admissible":
-            raise PredictionMismatch(
-                f"w = {w} is a multiple of {b} but the product scans {scan.verdict}"
-            )
-        return WindingCheck("no_violation")
+        raise ValueError(f"w = {w} is a multiple of b = {b}: no residue witness")
+    if r - 2 > MAX_TERMS:
+        raise ValueError(
+            f"the same-sign gap spans {r - 2} exponents, more than the limit {MAX_TERMS}"
+        )
 
     form = _closed_form(a, b)
 
@@ -231,10 +230,10 @@ def torus_satellite_obstruction(
     surgeries, under the divisibility hypothesis w^2 | ab.
 
     Returns the WindingCheck of winding_violation, which reads each witness
-    coefficient in O(1) from the pattern's closed form: the satellite is
-    obstructed exactly when its kind is not no_violation (the sweeps exist
-    to rule that out).  The companion may come pre-checked as a
-    CheckedCompanion (check it once, use it for every record); a
+    coefficient in O(1) from the pattern's closed form: every such
+    satellite is obstructed, since w^2 | ab leaves w mod b nonzero, and the
+    kind names the violated condition.  The companion may come pre-checked
+    as a CheckedCompanion (check it once, use it for every record); a
     LaurentPoly is checked (admissible, genus >= 1) on entry, by
     winding_violation."""
     _check_pattern(a, b)

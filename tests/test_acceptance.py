@@ -7,6 +7,8 @@ import time
 from dataclasses import replace
 from random import Random
 
+import pytest
+
 from knotpoly.apolygon import (
     BiPoly,
     detect_torus_from_apoly,
@@ -98,14 +100,19 @@ def test_criterion_4_winding_witness_machine_check():
         for w in range(1, a):
             r = w % b
             for cp, cq, comp, h in companions:
-                v = winding_violation(a, b, w, comp)
                 scan = lspace_admissible(
                     satellite_alexander(SatelliteSpec(pattern, comp, winding=w))
                 )
                 top = g + h * w
                 if r == 0:
-                    ok = v.kind == "no_violation" and scan.ok
-                elif r == 1:
+                    # no residue witness exists, and the product is admissible
+                    with pytest.raises(ValueError, match="no residue witness"):
+                        winding_violation(a, b, w, comp)
+                    if not scan.ok:
+                        failures.append((a, b, w, cp, cq, "refused", scan.verdict))
+                    continue
+                v = winding_violation(a, b, w, comp)
+                if r == 1:
                     ok = (
                         v.kind == "magnitude_violation"
                         and v.exponent == top - w
@@ -138,8 +145,9 @@ def test_criterion_5_obstruction_sweep():
             for comp in companions:
                 res = torus_satellite_obstruction(a, b, w, comp)
                 total += 1
-                if res.kind == "no_violation":
-                    failures.append((a, b, w))
+                expected = "magnitude_violation" if w % b == 1 else "same_sign_violation"
+                if res.kind != expected:
+                    failures.append((a, b, w, res.kind))
     if total == 0:
         failures.append("empty sweep")
     finish(5, f"w^2 | ab sweep never unobstructed ({total} configs)", failures, start, 60.0)

@@ -206,6 +206,33 @@ class TestObstruct:
         assert r.exit_code == 1
         assert json.loads(r.output)["error"]["kind"] == "ValueError"
 
+    def test_same_sign_gap_past_max_terms_is_refused(self, runner):
+        # a = 5^23, b = 2^53, w = 2^26 5^11 (w^2 | ab): the r - 2 exponents
+        # between the same-sign witnesses are far more than MAX_TERMS, so the
+        # record is refused before any coefficient is read
+        r = runner.invoke(
+            main,
+            [
+                "obstruct",
+                "--a",
+                "11920928955078125",
+                "--b",
+                "9007199254740992",
+                "--w",
+                "3276800000000000",
+                "--companion",
+                "T(3,2)",
+            ],
+        )
+        assert r.exit_code == 1
+        assert json.loads(r.output) == {
+            "error": {
+                "kind": "ValueError",
+                "detail": "the same-sign gap spans 3276799999999998 exponents, "
+                "more than the limit 1000000",
+            }
+        }
+
     def test_missing_flag_usage_error(self, runner):
         r = runner.invoke(main, ["obstruct", "--a", "9", "--b", "2", "--w", "3"])
         assert r.exit_code == 2
@@ -251,9 +278,11 @@ class TestSweeps:
         assert r.exit_code == 0
         recs = [json.loads(x) for x in lines(r)]
         summary = recs[-1]["summary"]
-        assert summary["not_obstructed"] == 0
-        assert summary["total"] == summary["obstructed"] + summary["config_impossible"]
-        assert all(rec["verdict"] == "obstructed" for rec in recs[:-1])
+        assert summary["total"] == summary["obstructed"] == len(recs) - 1 > 0
+        for rec in recs[:-1]:
+            # the residue of w mod b (never 0 when w^2 | ab) names the violation
+            kind = "magnitude_violation" if rec["w"] % rec["b"] == 1 else "same_sign_violation"
+            assert rec["verdict"] == "obstructed" and rec["witness"]["kind"] == kind, rec
 
     def test_obstruct_sweep_checks_each_companion_once(self, runner, monkeypatch):
         calls = []

@@ -2,9 +2,9 @@
 
 The benchmark in ``perfbench/`` records, for each CLI invocation a
 workload can run, the exit code and the SHA-256 of stdout
-(``perfbench/goldens.json``).  This runs every tiny-size invocation and
-two full-size glue sweeps in process and compares; nothing under
-``perfbench/`` is written.
+(``perfbench/goldens.json``).  This runs every tiny-size invocation, the
+full-size obstruction sweep and two full-size glue sweeps in process and
+compares; nothing under ``perfbench/`` is written.
 """
 
 import hashlib
@@ -42,6 +42,14 @@ def test_tiny_invocations_match_goldens():
         if replay(args) != (golden["exit"], golden["sha256"]):
             mismatched.append(workloads.key(args))
     assert not mismatched
+
+
+def test_full_obstruct_sweep_matches_golden():
+    # 8,500 records, every one read from the closed form
+    args = ("sweep", "obstruct", *workloads.OBSTRUCT_ARGS["full"])
+    golden = GOLDENS[workloads.key(args)]
+    assert golden["exit"] == 0 and golden["records"] == 8500
+    assert replay(args) == (0, golden["sha256"])
 
 
 @pytest.mark.parametrize("cli_seed", [3, 17])

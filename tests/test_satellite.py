@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from knotpoly import satellite
 from knotpoly.laurent import LaurentPoly
 from knotpoly.satellite import (
+    CheckedCompanion,
     PredictionMismatch,
     SatelliteSpec,
     check_companion,
@@ -26,6 +27,11 @@ TREFOIL = alexander(TorusKnotSpec(3, 2))
 
 def torus_poly(p, q):
     return alexander(TorusKnotSpec(p, q))
+
+
+def expected_kind(b, w):
+    # the violation that the residue of w mod b (nonzero) forces
+    return "magnitude_violation" if w % b == 1 else "same_sign_violation"
 
 
 class TestSatelliteSpec:
@@ -200,9 +206,13 @@ class TestWindingViolation:
         assert v.coefficients == (-1, -1)
 
     def test_multiple_of_b_no_violation(self):
-        assert winding_violation(7, 2, 2, TREFOIL).kind == "no_violation"
-        assert winding_violation(5, 2, 4, TREFOIL).kind == "no_violation"
-        assert winding_violation(7, 3, 3, TREFOIL).kind == "no_violation"
+        # b | w leaves no residue witness to certify: winding_violation
+        # refuses, and the full product is indeed admissible
+        for a, b, w in [(7, 2, 2), (5, 2, 4), (7, 3, 3)]:
+            with pytest.raises(ValueError, match="no residue witness"):
+                winding_violation(a, b, w, TREFOIL)
+            s = SatelliteSpec(torus_poly(a, b), TREFOIL, winding=w)
+            assert lspace_admissible(satellite_alexander(s)).ok, (a, b, w)
 
     def test_w_equals_one(self):
         v = winding_violation(3, 2, 1, TREFOIL)
@@ -274,7 +284,7 @@ class TestWindingViolation:
         # product's coefficient at e (TREFOIL's top term is +t) and moves no
         # other exponent of the window [top - w, top], so the witness
         # computed from the terms must disagree with the prediction.
-        assert winding_violation(a, b, w, TREFOIL).kind != "no_violation"
+        assert winding_violation(a, b, w, TREFOIL).kind == expected_kind(b, w)
         real = satellite._form_coefficient
         reads = []
 
@@ -301,36 +311,45 @@ class TestWindingViolation:
         assert forms == [(7, 4)]
 
     def test_witness_never_builds_the_pattern(self, monkeypatch):
-        # w mod b != 0 reads pattern coefficients in O(1); only w mod b == 0
-        # builds alexander(T(a, b)) for the full product
+        # witnesses read pattern coefficients in O(1); w mod b == 0 is
+        # refused without building alexander(T(a, b)) either
         def refuse(k):
             raise AssertionError(f"built {k}")
 
         monkeypatch.setattr(satellite, "alexander", refuse)
         for a, b, w in [(7, 2, 3), (5, 3, 2), (7, 4, 3)]:
-            assert winding_violation(a, b, w, TREFOIL).kind != "no_violation"
+            assert winding_violation(a, b, w, TREFOIL).kind == expected_kind(b, w)
         # a pattern far past alexander's MAX_TERMS costs what a small one does
         v = winding_violation(100003, 100002, 5, TREFOIL)
         g = 100002 * 100001 // 2
         assert v.kind == "same_sign_violation"
         assert v.exponent_pair == (g + 5 - 1, g + 5 - 5)
-        with pytest.raises(AssertionError, match="built"):
+        with pytest.raises(ValueError, match="no residue witness"):
             winding_violation(7, 2, 2, TREFOIL)
 
     def test_checked_companion_matches_plain(self):
+        from dataclasses import fields
         from math import gcd
 
+        assert [f.name for f in fields(CheckedCompanion)] == ["genus"]
         for comp in [(3, 2), (5, 2), (4, 3), (7, 5)]:
             checked = check_companion(torus_poly(*comp))
-            assert checked.poly == torus_poly(*comp)
-            assert checked.genus == genus(TorusKnotSpec(*comp))
+            assert checked == CheckedCompanion(genus(TorusKnotSpec(*comp)))
             for a in range(3, 12):
                 for b in range(2, a):
-                    if gcd(a, b) == 1:
-                        for w in range(1, a):
+                    if gcd(a, b) != 1:
+                        continue
+                    for w in range(1, a):
+                        if w % b:
                             assert winding_violation(a, b, w, checked) == winding_violation(
                                 a, b, w, torus_poly(*comp)
                             ), (a, b, w, comp)
+                            continue
+                        for companion in (checked, torus_poly(*comp)):
+                            with pytest.raises(ValueError, match="no residue witness"):
+                                winding_violation(a, b, w, companion)
+                        s = SatelliteSpec(torus_poly(a, b), torus_poly(*comp), winding=w)
+                        assert lspace_admissible(satellite_alexander(s)).ok, (a, b, w, comp)
 
     @pytest.mark.parametrize(
         "a,b,w",
@@ -390,7 +409,7 @@ class TestObstruction:
                     # the arithmetic that leaves no impossible configuration
                     assert w < a and w % b, (a, b, w)
                     r = torus_satellite_obstruction(a, b, w, TREFOIL)
-                    assert r.kind != "no_violation", (a, b, w, r.kind)
+                    assert r.kind == expected_kind(b, w), (a, b, w, r.kind)
                     seen += 1
         assert seen > 20
 
@@ -406,12 +425,16 @@ class TestScanAgreement:
                 if gcd(a, b) != 1:
                     continue
                 for w in range(1, a):
-                    v = winding_violation(a, b, w, TREFOIL)
                     s = SatelliteSpec(torus_poly(a, b), TREFOIL, winding=w)
                     rep = lspace_admissible(satellite_alexander(s))
-                    if v.kind == "no_violation":
+                    if w % b == 0:
+                        with pytest.raises(ValueError, match="no residue witness"):
+                            winding_violation(a, b, w, TREFOIL)
                         assert rep.ok, (a, b, w)
-                    elif v.kind == "magnitude_violation":
+                        continue
+                    v = winding_violation(a, b, w, TREFOIL)
+                    assert v.kind == expected_kind(b, w), (a, b, w)
+                    if v.kind == "magnitude_violation":
                         assert rep.verdict == "fails_magnitude", (a, b, w)
                         assert rep.witness_exponent == v.exponent
                     else:
