@@ -1,4 +1,4 @@
-"""Command line interface.
+"""Command line: exact knot polynomial computations and obstruction checks.
 
 Subcommands compute Alexander polynomials and enhanced A-polynomials of
 torus knots, Newton polygon data, torus knot detection, satellite
@@ -20,17 +20,16 @@ failure (PredictionMismatch, with the same {"error": ...} record).
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import math
+import os
 import sys
+from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING
 
-import click
-
 if TYPE_CHECKING:
-    from types import ModuleType
-
     from .laurent import LaurentPoly
     from .satellite import CheckedCompanion, WindingCheck
     from .torusknot import TorusKnotSpec
@@ -81,18 +80,6 @@ def _echo(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-def _format_option(fn):
-    return click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["text", "json"]),
-        default="text",
-        envvar=FORMAT_ENV,
-        show_default=True,
-        help="Output format (defaults from KNOTPOLY_FORMAT).",
-    )(fn)
-
-
 def _spec_json(k: TorusKnotSpec) -> dict:
     return {"a": k.a, "b": k.b}
 
@@ -103,14 +90,6 @@ def _slope_str(s) -> str:
     return "inf" if s == INFINITE_SLOPE else str(s)
 
 
-@click.group()
-def main():
-    """Exact knot polynomial computations and obstruction checks."""
-
-
-@main.command()
-@click.argument("knot")
-@_format_option
 @_domain_errors
 def alexander(knot: str, fmt: str):
     """Symmetrized Alexander polynomial of a torus knot T(a,b)."""
@@ -132,9 +111,6 @@ def alexander(knot: str, fmt: str):
         )
 
 
-@main.command()
-@click.argument("knot")
-@_format_option
 @_domain_errors
 def apoly(knot: str, fmt: str):
     """Enhanced A-polynomial of a torus knot T(a,b)."""
@@ -148,10 +124,6 @@ def apoly(knot: str, fmt: str):
         _echo(_dumps({"knot": _spec_json(k), "apoly": str(poly)}))
 
 
-# ignore_unknown_options lets polynomial arguments start with a minus sign
-@main.command(context_settings={"ignore_unknown_options": True})
-@click.argument("poly")
-@_format_option
 @_domain_errors
 def newton(poly: str, fmt: str):
     """Newton polygon, edge slopes, and thinness of an (L, M) polynomial."""
@@ -187,10 +159,6 @@ def newton(poly: str, fmt: str):
         )
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@click.argument("poly")
-@click.option("--degree", type=int, default=None, help="Alexander polynomial degree 2g filter.")
-@_format_option
 @_domain_errors
 def detect(poly: str, degree: int | None, fmt: str):
     """Identify torus knots from an enhanced A-polynomial."""
@@ -261,15 +229,6 @@ def _obstruction_record(
     return record
 
 
-@main.command()
-@click.option("--a", "a", type=int, required=True, help="Pattern parameter a (a > b).")
-@click.option("--b", "b", type=int, required=True, help="Pattern parameter b >= 2.")
-@click.option("--w", "w", type=int, required=True, help="Winding number with w^2 | ab.")
-@click.option(
-    "--companion",
-    required=True,
-    help="Companion Alexander polynomial, or T(p,q) for a torus companion.",
-)
 @_domain_errors
 def obstruct(a: int, b: int, w: int, companion: str):
     """L-space surgery obstruction for a torus-pattern satellite."""
@@ -277,11 +236,6 @@ def obstruct(a: int, b: int, w: int, companion: str):
 
     poly = _parse_companion(companion)
     _echo(_dumps(_obstruction_record(satellite, a, b, w, poly, str(poly))))
-
-
-@main.group()
-def sweep():
-    """Exhaustive and randomized verification sweeps (NDJSON records)."""
 
 
 def _coprime_pairs(limit: int):
@@ -292,9 +246,6 @@ def _coprime_pairs(limit: int):
                 yield big, small
 
 
-@sweep.command("obstruct")
-@click.option("--a-max", type=click.IntRange(min=3), default=20, show_default=True)
-@click.option("--companion-max", type=click.IntRange(min=3), default=10, show_default=True)
 @_domain_errors
 def sweep_obstruct(a_max: int, companion_max: int):
     """Check every torus-pattern satellite with w^2 | ab in range."""
@@ -324,8 +275,6 @@ def sweep_obstruct(a_max: int, companion_max: int):
     _echo(_dumps({"summary": summary}))
 
 
-@sweep.command("thinness")
-@click.option("--max", "limit", type=click.IntRange(min=3), default=40, show_default=True)
 @_domain_errors
 def sweep_thinness(limit: int):
     """Check the Newton polygon of every enhanced A-polynomial in range is
@@ -390,40 +339,12 @@ def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
         sys.exit(1)
 
 
-def _nonnegative(ctx, param, value: float) -> float:
-    # written "not >= 0" so that NaN, which compares false, is rejected too
-    if not value >= 0:
-        raise click.BadParameter(f"{value} is not a number >= 0")
-    return value
-
-
-def _tolerance_option(fn):
-    return click.option(
-        "--tolerance", type=float, default=_GLUE_TOL, show_default=True, callback=_nonnegative
-    )(fn)
-
-
-@sweep.command("glue")
-@click.option("--per-case", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
-@_tolerance_option
 @_domain_errors
 def sweep_glue(per_case: int, seed: int, tolerance: float):
     """Randomized construct-and-verify sweep over all three gluing cases."""
     _glue_sweep(_GLUE_CASES, per_case, seed, tolerance)
 
 
-@main.command("glue-verify")
-@click.option(
-    "--case",
-    "case_kind",
-    type=click.Choice(list(_GLUE_CASES) + ["all"]),
-    default="all",
-    show_default=True,
-)
-@click.option("--count", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
-@_tolerance_option
 @_domain_errors
 def glue_verify(case_kind: str, count: int, seed: int, tolerance: float):
     """Construct and independently verify randomized gluing instances."""
@@ -431,5 +352,84 @@ def glue_verify(case_kind: str, count: int, seed: int, tolerance: float):
     _glue_sweep(kinds, count, seed, tolerance)
 
 
+def _checked(kind: type, ok, want: str):
+    def number(text: str):  # argparse names it in "invalid number value: 'x'"
+        parsed = kind(text)
+        if not ok(parsed):
+            raise argparse.ArgumentTypeError(f"{parsed!r} is not {want}")
+        return parsed
+    return number
+
+
+def _parser(prog: str, entry) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog, description=entry.doc, allow_abbrev=False)
+    if hasattr(entry, "commands"):
+        parser.add_argument("command", choices=entry.commands)
+    for flag, kwargs in getattr(entry, "arguments", {}).items():
+        if flag == "--format":  # read on each call; argparse passes a str default through type
+            kwargs = {**kwargs, "default": os.environ.get(FORMAT_ENV) or "text"}
+        parser.add_argument(flag, help=kwargs.get("default") and "default: %(default)s", **kwargs)
+    return parser
+
+
+class _Main(SimpleNamespace):
+    """``main(argv=None) -> int``: parse with the named command's parser only, run it."""
+
+    def __call__(self, argv=None) -> int:
+        prog, entry, args = self.name, self, sys.argv[1:] if argv is None else list(argv)
+        try:
+            while hasattr(entry, "commands"):
+                if not args or args[0] not in entry.commands:
+                    _parser(prog, entry).parse_args(args[:1])  # exits: 0 for --help, else 2
+                prog, entry, args = f"{prog} {args[0]}", entry.commands[args[0]], args[1:]
+            parser = _parser(prog, entry)
+            ns, extra = parser.parse_known_args(args)
+            if extra and getattr(ns, "poly", "") is None:
+                ns.poly = extra.pop(0)  # argparse reads an unspaced -1+M^210*L^2 as an option
+            if extra or getattr(ns, "poly", "") is None:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}" if extra else "no poly")
+            entry.callback(**vars(ns))  # looked up per call: the benchmark's tracer wraps it
+        except SystemExit as exc:
+            return exc.code
+        return 0
+
+    def main(self, args=None, prog_name=None):
+        # click.testing.CliRunner's call; it goes once tests/ and perfbench/ call main(argv)
+        raise SystemExit(self(args))
+
+
+class _Leaf:
+    """A command: its function and {flag: add_argument keywords}; hashable, unlike a namespace."""
+
+    def __init__(self, callback, arguments: dict):
+        self.callback, self.arguments, self.doc = callback, arguments, callback.__doc__
+
+
+_TEXT_OR_JSON = _checked(str, ("text", "json").__contains__, "text or json")
+_FORMAT = {"--format": {"dest": "fmt", "type": _TEXT_OR_JSON, "metavar": "{text,json}"}}
+_POLY = {"poly": {"nargs": "?"}, **_FORMAT}  # optional for the fix-up in _Main
+_REQUIRED = {"required": True}
+_INT = {"type": int, **_REQUIRED}
+_MIN_3 = _checked(int, lambda n: n >= 3, ">= 3")
+_COUNT = {"type": _checked(int, lambda n: n >= 1, ">= 1"), "default": 200}
+_GLUE = {"--seed": {"type": int, "default": 7},  # a NaN --tolerance fails x >= 0
+         "--tolerance": {"type": _checked(float, lambda x: x >= 0, ">= 0"), "default": _GLUE_TOL}}
+_SWEEPS = {
+    "obstruct": _Leaf(sweep_obstruct, {"--a-max": {"type": _MIN_3, "default": 20},
+                                       "--companion-max": {"type": _MIN_3, "default": 10}}),
+    "thinness": _Leaf(sweep_thinness, {"--max": {"type": _MIN_3, "dest": "limit", "default": 40}}),
+    "glue": _Leaf(sweep_glue, {"--per-case": _COUNT, **_GLUE}),
+}
+_CASE = {"dest": "case_kind", "choices": (*_GLUE_CASES, "all"), "default": "all"}
+main = _Main(name="knotpoly", doc=__doc__.partition("\n")[0], commands={
+    "alexander": _Leaf(alexander, {"knot": {}, **_FORMAT}),
+    "apoly": _Leaf(apoly, {"knot": {}, **_FORMAT}),
+    "newton": _Leaf(newton, _POLY),
+    "detect": _Leaf(detect, {**_POLY, "--degree": {"type": int}}),
+    "obstruct": _Leaf(obstruct, {"--a": _INT, "--b": _INT, "--w": _INT, "--companion": _REQUIRED}),
+    "sweep": SimpleNamespace(doc="Exhaustive and randomized sweeps (NDJSON).", commands=_SWEEPS),
+    "glue-verify": _Leaf(glue_verify, {"--case": _CASE, "--count": _COUNT, **_GLUE}),
+})
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -496,6 +496,129 @@ class TestGlueVerify:
         assert recs[2] == {"error": {"kind": "ValueError", "detail": "sampler failed"}}
 
 
+class TestUsage:
+    """argparse parity with the click CLI this replaced, through main(argv)."""
+
+    @pytest.fixture(autouse=True)
+    def _no_format_env(self, monkeypatch):
+        monkeypatch.delenv(cli.FORMAT_ENV, raising=False)
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (["alexander", "--format", "json", "T(3,2)"], ["alexander", "T(3,2)", "--format", "json"]),
+            (
+                ["detect", "--degree", "68", "--format", "json", "-1+M^210*L^2"],
+                ["detect", "-1+M^210*L^2", "--format", "json", "--degree", "68"],
+            ),
+            (["sweep", "thinness", "--max", "5"], ["sweep", "thinness", "--max=5"]),
+        ],
+    )
+    def test_options_before_or_after_positional(self, capsys, before, after):
+        code, out, _ = self.run(capsys, before)
+        assert code == 0 and out
+        assert self.run(capsys, after)[:2] == (0, out)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["detect", "--degree", "110", "-1 + M^260*L^2"], "no match\n"),
+            (["detect", "-1+M^210*L^2"], "T(35,3)\nT(21,5)\nT(15,7)\nambiguous\n"),
+            (["detect", "--degree", "68", "-1+M^210*L^2"], "T(35,3)\nunique\n"),
+            (["newton", "-1+M^6*L", "--format", "json"], '{"points":[[0,0],[1,6]],'),
+            (["newton", "-1"], "points: (0,0)\n"),
+        ],
+    )
+    def test_polynomial_may_start_with_minus(self, capsys, argv, expected):
+        code, out, _ = self.run(capsys, argv)
+        assert code == 0
+        assert out.startswith(expected)
+
+    def test_option_value_starting_with_minus(self, capsys):
+        # argparse takes an unspaced value that starts with '-' only after '='
+        args = ["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion"]
+        code, out, _ = self.run(capsys, [*args[:-1], "--companion=-t+3-t^-1"])
+        assert code == 1
+        assert json.loads(out)["error"]["detail"].startswith("companion polynomial must be admissible")
+        assert self.run(capsys, [*args, "-t + 3 - t^-1"])[:2] == (1, out)
+        assert self.run(capsys, [*args, "-t+3-t^-1"])[:2] == (2, "")
+
+    def test_format_default_is_read_on_each_call(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.FORMAT_ENV, "json")
+        assert self.run(capsys, ["alexander", "T(3,2)"])[:2] == (
+            0, '{"knot":{"a":3,"b":2},"genus":1,"alexander":"t - 1 + t^-1"}\n'
+        )
+        monkeypatch.setenv(cli.FORMAT_ENV, "text")
+        assert self.run(capsys, ["alexander", "T(3,2)"])[:2] == (0, "t - 1 + t^-1\n")
+        monkeypatch.setenv(cli.FORMAT_ENV, "")
+        assert self.run(capsys, ["alexander", "T(3,2)"])[:2] == (0, "t - 1 + t^-1\n")
+
+    def test_invalid_format_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.FORMAT_ENV, "xml")
+        code, out, err = self.run(capsys, ["alexander", "T(3,2)"])
+        assert (code, out) == (2, "")
+        assert "'xml'" in err
+        # an explicit --format wins over the environment, as it did with click
+        assert self.run(capsys, ["alexander", "--format", "text", "T(3,2)"])[:2] == (
+            0, "t - 1 + t^-1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alexander", "--form", "json", "T(3,2)"],  # no option prefixes
+            ["alexander", "--format", "xml", "T(3,2)"],
+            ["sweep", "obstruct", "--a-max", "2"],
+            ["sweep", "obstruct", "--companion-max", "2"],
+            ["sweep", "thinness", "--max", "2"],
+            ["sweep", "glue", "--per-case", "0"],
+            ["glue-verify", "--count", "0"],
+            ["glue-verify", "--count", "x"],
+            ["glue-verify", "--tolerance", "nan"],
+            ["sweep", "glue", "--tolerance", "-1"],
+            ["glue-verify", "--tolerance=-1e-9"],
+            ["alexander", "T(3,2)", "T(5,2)"],  # an extra positional
+            ["newton", "1", "-1+M"],
+            ["detect", "-1+M", "-1+L"],
+            ["alexander"],
+            ["newton"],
+            ["obstruct", "--a", "9", "--b", "2", "--w", "3"],
+            [],  # no command
+            ["nonsense"],
+            ["sweep"],
+            ["sweep", "nonsense"],
+        ],
+    )
+    def test_usage_error_exits_2_without_a_record(self, capsys, argv):
+        code, out, err = self.run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "usage: knotpoly" in err
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["--help"], ["alexander", "apoly", "newton", "detect", "obstruct", "sweep", "glue-verify"]),
+            (["sweep", "--help"], ["obstruct", "thinness", "glue"]),
+            (["glue-verify", "--help"], ["--case", "--count", "--seed", "--tolerance"]),
+        ],
+    )
+    def test_help_exits_0_and_lists(self, capsys, argv, names):
+        code, out, _ = self.run(capsys, argv)
+        assert code == 0
+        assert all(name in out for name in names)
+
+    def test_main_main_raises_the_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=("alexander", "T(4,2)"), prog_name="knotpoly")
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ValueError"
+
+
 class TestModuleEntry:
     def test_package_exports_resolve_lazily(self):
         import importlib
@@ -579,6 +702,47 @@ class TestModuleEntry:
         assert piped.returncode == in_process.exit_code == 0
         assert piped.stdout == in_process.stdout_bytes
         assert piped.stdout.count(b"\n") == 16
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["alexander", "T(5,2)"],
+            ["apoly", "T(5,3)"],
+            ["newton", "1 + M^6*L"],
+            ["detect", "--degree", "2", "1 + M^6*L"],
+            ["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(3,2)"],
+            ["sweep", "obstruct", "--a-max", "3", "--companion-max", "3"],
+            ["sweep", "glue", "--per-case", "1"],
+            ["glue-verify", "--count", "1"],
+        ],
+    )
+    def test_queries_never_import_click(self, args):
+        src = str(Path(knotpoly.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from knotpoly.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "assert code == 0, code\n"
+            "print('click' in sys.modules)\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip().splitlines()[-1] == "False"
+
+    def test_python_m_keeps_exit_codes(self):
+        src = str(Path(knotpoly.__file__).resolve().parents[1])
+        r = subprocess.run(
+            [sys.executable, "-m", "knotpoly", "alexander", "T(4,2)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["error"]["kind"] == "ValueError"
 
     def test_python_m_help(self):
         src = str(Path(knotpoly.__file__).resolve().parents[1])
