@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .laurent import split_terms
+from .laurent import _Frozen, split_terms
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 INFINITE_SLOPE = math.inf
 
@@ -28,7 +29,7 @@ _TERM = re.compile(
 )
 
 
-class BiPoly:
+class BiPoly(_Frozen):
     """Immutable two-variable Laurent polynomial in M and L, up to sign."""
 
     __slots__ = ("_terms",)
@@ -52,9 +53,6 @@ class BiPoly:
         if clean and clean[min(clean)] < 0:
             clean = {k: -c for k, c in clean.items()}
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "BiPoly":
@@ -128,8 +126,7 @@ class BiPoly:
 # ------- Newton polygon -------
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(_Frozen):
     """Convex hull data of a BiPoly's support.
 
     hull_vertices are the extreme points in counterclockwise order starting
@@ -138,9 +135,12 @@ class NewtonPolygon:
     last; each is a candidate strict boundary slope of the underlying knot.
     """
 
-    lattice_points: tuple[tuple[int, int], ...]
-    hull_vertices: tuple[tuple[int, int], ...]
-    edge_slopes: tuple[object, ...]
+    __slots__ = ("lattice_points", "hull_vertices", "edge_slopes")
+
+    def __init__(self, lattice_points: tuple, hull_vertices: tuple, edge_slopes: tuple):
+        object.__setattr__(self, "lattice_points", lattice_points)
+        object.__setattr__(self, "hull_vertices", hull_vertices)
+        object.__setattr__(self, "edge_slopes", edge_slopes)
 
 
 def _cross(o, a, b) -> int:
@@ -169,6 +169,7 @@ def _edge_slope(u: tuple[int, int], v: tuple[int, int]):
     dm = v[1] - u[1]
     if dl == 0:
         return INFINITE_SLOPE
+    from fractions import Fraction  # loaded only by the queries that build a slope
     return Fraction(dm, dl)
 
 
@@ -192,17 +193,19 @@ def newton_polygon(f: BiPoly) -> NewtonPolygon:
     return NewtonPolygon(tuple(points), tuple(hull), slopes)
 
 
-@dataclass(frozen=True)
-class ThinnessResult:
+class ThinnessResult(_Frozen):
     """kind is one of "point", "thin", "not_thin".
 
     thin carries the common rational slope; a vertical collinear support is
     reported not_thin with infinite_slope set.
     """
 
-    kind: str
-    slope: Fraction | None = None
-    infinite_slope: bool = False
+    __slots__ = ("kind", "slope", "infinite_slope")
+
+    def __init__(self, kind: str, slope: Fraction | None = None, infinite_slope: bool = False):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "infinite_slope", infinite_slope)
 
 
 def thinness(f: BiPoly) -> ThinnessResult:
@@ -218,6 +221,7 @@ def thinness(f: BiPoly) -> ThinnessResult:
         return ThinnessResult("not_thin")
     if anchor[0] == o[0]:
         return ThinnessResult("not_thin", infinite_slope=True)
+    from fractions import Fraction  # loaded only by the queries that build a slope
     return ThinnessResult("thin", slope=Fraction(anchor[1] - o[1], anchor[0] - o[0]))
 
 
@@ -244,14 +248,16 @@ def coprime_factorizations(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(_Frozen):
     """candidates lists every torus knot whose enhanced A-polynomial matches;
     unique means the input pins down one knot (or the unknot)."""
 
-    candidates: tuple
-    unique: bool
-    is_unknot: bool
+    __slots__ = ("candidates", "unique", "is_unknot")
+
+    def __init__(self, candidates: tuple, unique: bool, is_unknot: bool):
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "unique", unique)
+        object.__setattr__(self, "is_unknot", is_unknot)
 
 
 # Enhanced A-polynomial templates of torus knots T(a, b), one per

@@ -51,7 +51,39 @@ def split_terms(text: str) -> list[str]:
     return chunks
 
 
-class LaurentPoly:
+class _Frozen:
+    """Base of the immutable value types: a subclass lists its fields in __slots__ and
+    sets each once in __init__ with object.__setattr__.  Equality (same class, equal
+    _compared fields, all by default), hash, repr, copy and pickle read the fields."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] | None = None
+
+    def _values(self, names: tuple[str, ...] | None = None) -> tuple:
+        return tuple([getattr(self, name) for name in names or self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self._compared) == other._values(self._compared)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._compared))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LaurentPoly(_Frozen):
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
     __slots__ = ("_terms",)
@@ -70,9 +102,6 @@ class LaurentPoly:
             else:
                 clean.pop(e, None)
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # ------- Constructors -------
 

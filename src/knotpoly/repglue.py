@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from random import Random
+
+from .laurent import _Frozen
 
 DEFAULT_TOL = 1e-9
 _ANGLE_TOL = 1e-6
@@ -38,14 +39,16 @@ _ANGLE_TOL = 1e-6
 _IDENTITY = (1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class Mat2C:
+class Mat2C(_Frozen):
     """2x2 complex matrix with exact-shape helpers for SL(2,C) work."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def diagonal(x: complex, y: complex) -> "Mat2C":
@@ -121,8 +124,7 @@ def _entry_dist(x: tuple, y: tuple) -> float:
     )
 
 
-@dataclass(frozen=True)
-class PeripheralCase:
+class PeripheralCase(_Frozen):
     """Classification of the companion peripheral pair.
 
     kind "diagonal" carries the eigenvalues alpha, beta of mu, lam;
@@ -131,51 +133,66 @@ class PeripheralCase:
     lam = eta*[[1, b], [0, 1]].
     """
 
-    kind: str
-    alpha: complex = 0j
-    beta: complex = 0j
-    eps: int = 1
-    eta: int = 1
-    a_off: complex = 0j
-    b_off: complex = 0j
+    __slots__ = ("kind", "alpha", "beta", "eps", "eta", "a_off", "b_off")
+
+    def __init__(self, kind: str, alpha=0j, beta=0j, eps=1, eta=1, a_off=0j, b_off=0j):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "a_off", a_off)
+        object.__setattr__(self, "b_off", b_off)
 
 
-@dataclass(frozen=True)
-class GlueInstance:
+class GlueInstance(_Frozen):
     """Surgery slope p/q, winding w and the companion peripheral pair
     (mu, lam) with its classified case; d = gcd(q, w^2) is the denominator
     of the surgered satellite slope.  Build it with glue_instance, which
     checks the pair, or sample_instance."""
 
-    p: int
-    q: int
-    w: int
-    d: int
-    mu: Mat2C
-    lam: Mat2C
-    case: PeripheralCase
+    __slots__ = ("p", "q", "w", "d", "mu", "lam", "case")
+
+    def __init__(
+        self, p: int, q: int, w: int, d: int, mu: Mat2C, lam: Mat2C, case: PeripheralCase
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "case", case)
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(_Frozen):
     """Constructed satellite peripheral images, unchecked until
     verify_extension computes their residuals.  A diagonal-case extension
     keeps the diagonal_polar_data it was built from in polar."""
 
-    mu_p: Mat2C
-    lam_p: Mat2C
-    central_twist_used: bool
-    chosen_k: int | None
-    # derived from the instance, so it takes no part in equality and the
-    # dict leaves Extension hashable
-    polar: dict | None = field(default=None, compare=False)
+    __slots__ = ("mu_p", "lam_p", "central_twist_used", "chosen_k", "polar")
+    # polar is derived from the instance, so it takes no part in equality,
+    # and leaving the dict out keeps Extension hashable
+    _compared = ("mu_p", "lam_p", "central_twist_used", "chosen_k")
+
+    def __init__(
+        self, mu_p: Mat2C, lam_p: Mat2C, central_twist_used: bool, chosen_k: int | None,
+        polar: dict | None = None,
+    ):
+        object.__setattr__(self, "mu_p", mu_p)
+        object.__setattr__(self, "lam_p", lam_p)
+        object.__setattr__(self, "central_twist_used", central_twist_used)
+        object.__setattr__(self, "chosen_k", chosen_k)
+        object.__setattr__(self, "polar", polar)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    residuals: tuple[float, float, float]
-    failed_equation: int | None = None
+class VerifyResult(_Frozen):
+    __slots__ = ("ok", "residuals", "failed_equation")
+
+    def __init__(self, ok: bool, residuals: tuple[float, ...], failed_equation: int | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "failed_equation", failed_equation)
 
 
 def classify_case(mu: Mat2C, lam: Mat2C, w: int) -> PeripheralCase:

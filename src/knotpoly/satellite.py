@@ -17,9 +17,8 @@ highest exponent determines the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _Frozen
 # alexander is unused: perfbench's binding self-test asserts satellite.alexander is torusknot's
 from .torusknot import MAX_TERMS, _closed_form, _form_coefficient, alexander
 
@@ -29,23 +28,23 @@ class PredictionMismatch(RuntimeError):
     actual product; indicates a bug, never expected on valid inputs."""
 
 
-@dataclass(frozen=True)
-class SatelliteSpec:
+class SatelliteSpec(_Frozen):
     """Pattern/companion data for a satellite knot.
 
     pattern_genus and companion_genus are read-only: each is the top
     exponent of its symmetrized polynomial.
     """
 
-    pattern_poly: LaurentPoly
-    companion_poly: LaurentPoly
-    winding: int
+    __slots__ = ("pattern_poly", "companion_poly", "winding")
 
-    def __post_init__(self):
-        if not isinstance(self.winding, int) or isinstance(self.winding, bool) or self.winding < 1:
-            raise ValueError(f"winding number must be an integer >= 1, got {self.winding!r}")
-        _require_symmetrized(self.pattern_poly, "pattern polynomial")
-        _require_symmetrized(self.companion_poly, "companion polynomial")
+    def __init__(self, pattern_poly: LaurentPoly, companion_poly: LaurentPoly, winding: int):
+        if not isinstance(winding, int) or isinstance(winding, bool) or winding < 1:
+            raise ValueError(f"winding number must be an integer >= 1, got {winding!r}")
+        _require_symmetrized(pattern_poly, "pattern polynomial")
+        _require_symmetrized(companion_poly, "companion polynomial")
+        object.__setattr__(self, "pattern_poly", pattern_poly)
+        object.__setattr__(self, "companion_poly", companion_poly)
+        object.__setattr__(self, "winding", winding)
 
     @property
     def pattern_genus(self) -> int:
@@ -79,15 +78,20 @@ def satellite_genus(spec: SatelliteSpec) -> int:
 # ------- L-space coefficient test -------
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(_Frozen):
     """verdict is admissible, fails_magnitude, fails_alternation, or
     fails_top_two; failures carry the offending exponent(s) with their
     coefficients, highest exponent first."""
 
-    verdict: str
-    witness_exponent: int | None = None
-    witness_coefficients: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("verdict", "witness_exponent", "witness_coefficients")
+
+    def __init__(
+        self, verdict: str, witness_exponent: int | None = None,
+        witness_coefficients: tuple[tuple[int, int], ...] = (),
+    ):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness_exponent", witness_exponent)
+        object.__setattr__(self, "witness_coefficients", witness_coefficients)
 
     @property
     def ok(self) -> bool:
@@ -116,27 +120,34 @@ def lspace_admissible(f: LaurentPoly) -> AdmissibilityReport:
 # ------- Residue-class violations for torus-pattern satellites -------
 
 
-@dataclass(frozen=True)
-class WindingCheck:
+class WindingCheck(_Frozen):
     """kind is magnitude_violation (exponent, coefficient) or
     same_sign_violation (exponent pair, coefficients, higher first)."""
 
-    kind: str
-    exponent: int | None = None
-    coefficient: int | None = None
-    exponent_pair: tuple[int, int] | None = None
-    coefficients: tuple[int, int] | None = None
+    __slots__ = ("kind", "exponent", "coefficient", "exponent_pair", "coefficients")
+
+    def __init__(
+        self, kind: str, exponent: int | None = None, coefficient: int | None = None,
+        exponent_pair: tuple[int, int] | None = None, coefficients: tuple[int, int] | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "exponent_pair", exponent_pair)
+        object.__setattr__(self, "coefficients", coefficients)
 
 
-@dataclass(frozen=True)
-class CheckedCompanion:
+class CheckedCompanion(_Frozen):
     """The genus h >= 1 of a companion polynomial that passed
     check_companion; being admissible, the companion's top two terms are
     t^h - t^(h-1), which is all a witness reads of it.  Build it with
     check_companion, once per companion, and pass it to winding_violation
     or torus_satellite_obstruction for every record."""
 
-    genus: int
+    __slots__ = ("genus",)
+
+    def __init__(self, genus: int):
+        object.__setattr__(self, "genus", genus)
 
 
 def check_companion(companion: LaurentPoly) -> CheckedCompanion:

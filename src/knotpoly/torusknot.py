@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .laurent import LaurentPoly, _raw
+from .laurent import LaurentPoly, _Frozen, _raw
 
 # alexander refuses a knot with more nonzero terms than this before it
 # allocates anything: about 175 MB peak to build and print one this size.
@@ -26,8 +25,7 @@ if TYPE_CHECKING:
     from .apolygon import BiPoly
 
 
-@dataclass(frozen=True)
-class TorusKnotSpec:
+class TorusKnotSpec(_Frozen):
     """A nontrivial torus knot; parameters are canonicalized on construction.
 
     >>> TorusKnotSpec(2, 3) == TorusKnotSpec(3, 2)
@@ -36,11 +34,9 @@ class TorusKnotSpec:
     -3
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __init__(self, a: int, b: int):
         for v in (a, b):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"torus knot parameters must be integers, got {v!r}")

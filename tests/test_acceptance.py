@@ -4,7 +4,6 @@ check and a wall-clock budget.  Every test prints one PASS/FAIL line
 
 import math
 import time
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -36,6 +35,12 @@ from knotpoly.torusknot import TorusKnotSpec, alexander, enhanced_apoly, genus, 
 import oracles
 
 GLUE_SEED = 1729
+
+
+def replace(value, **changes):
+    """A value type rebuilt from its fields, with some of them changed."""
+    assert changes.keys() <= set(value.__slots__), changes
+    return type(value)(*[changes.get(name, getattr(value, name)) for name in value.__slots__])
 
 
 def coprime_pairs(lo, hi):

@@ -305,13 +305,13 @@ class TestSweeps:
         from knotpoly import torusknot
 
         specs = []
-        real = torusknot.TorusKnotSpec.__post_init__
+        real = torusknot.TorusKnotSpec.__init__
 
-        def counted(self):
-            specs.append((self.a, self.b))
-            real(self)
+        def counted(self, a, b):
+            specs.append((a, b))
+            real(self, a, b)
 
-        monkeypatch.setattr(torusknot.TorusKnotSpec, "__post_init__", counted)
+        monkeypatch.setattr(torusknot.TorusKnotSpec, "__init__", counted)
         r = runner.invoke(main, ["sweep", "obstruct", "--a-max", "8", "--companion-max", "5"])
         assert r.exit_code == 0
         assert specs == [(3, 2), (4, 3), (5, 2), (5, 3), (5, 4)]
@@ -717,6 +717,7 @@ class TestModuleEntry:
         ],
     )
     def test_queries_never_import_click(self, args):
+        # nor dataclasses, and only newton, which prints slopes, loads fractions
         src = str(Path(knotpoly.__file__).resolve().parents[1])
         code = (
             "import sys\n"
@@ -726,14 +727,15 @@ class TestModuleEntry:
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
             "assert code == 0, code\n"
-            "print('click' in sys.modules)\n"
+            "print([m in sys.modules for m in ('click', 'dataclasses', 'fractions')])\n"
         )
         r = subprocess.run(
             [sys.executable, "-c", code, *args],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
         )
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip().splitlines()[-1] == "False"
+        loaded = r.stdout.strip().splitlines()[-1]
+        assert loaded == str([False, False, args[0] == "newton"])
 
     def test_python_m_keeps_exit_codes(self):
         src = str(Path(knotpoly.__file__).resolve().parents[1])

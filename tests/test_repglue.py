@@ -3,7 +3,6 @@ construction cases, residual verification, and seeded samplers."""
 
 import cmath
 import math
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -29,6 +28,12 @@ import oracles
 
 
 IDENTITY = Mat2C(1, 0, 0, 1)
+
+
+def replace(value, **changes):
+    """A value type rebuilt from its fields, with some of them changed."""
+    assert changes.keys() <= set(value.__slots__), changes
+    return type(value)(*[changes.get(name, getattr(value, name)) for name in value.__slots__])
 
 
 def diag(x, y):
