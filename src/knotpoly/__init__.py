@@ -10,6 +10,41 @@ representations.
 
 import importlib
 
+
+# The value types' base lives in the package, which every submodule import
+# loads first, so a module needs no other submodule for it.
+class _Frozen:
+    """Base of the immutable value types: a subclass lists its fields in __slots__ and
+    sets each once in __init__ with object.__setattr__.  Equality (same class, equal
+    _compared fields, all by default), hash, repr, copy and pickle read the fields."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] | None = None
+
+    def _values(self, names: tuple[str, ...] | None = None) -> tuple:
+        return tuple([getattr(self, name) for name in names or self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self._compared) == other._values(self._compared)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._compared))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 # Each public name, by the submodule that defines it.  The submodules are
 # imported on first access (PEP 562), so importing the package, or the
 # CLI for one command, loads only what is used.

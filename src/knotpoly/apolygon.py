@@ -17,7 +17,8 @@ import math
 import re
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .laurent import _Frozen, split_terms
+from . import _Frozen
+from .laurent import split_terms
 
 if TYPE_CHECKING:
     from fractions import Fraction

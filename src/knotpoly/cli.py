@@ -12,26 +12,30 @@ and glue-verify always emit JSON records, one per line.  Sweeps write
 each record as it is built and never hold records back, then a
 {"summary": ...} record; an error record follows the records already
 written.  A glue record that fails verification is printed with
-"ok": false, counted in "failed", and makes the sweep exit 1.  Exit
-codes: 0 success, 1 domain error (with a structured {"error": ...}
-record) or a failing verdict, 2 usage error, 3 internal invariant
-failure (PredictionMismatch, with the same {"error": ...} record).
+"ok": false, counted in "failed", and makes the sweep exit 1.
+
+Each command writes its records and returns 1 on a failing verdict;
+the dispatcher, main, turns that, a usage error, an error the command
+raises, or a closed stdout into the exit code.  Exit codes: 0 success,
+1 domain error (with a structured {"error": ...} record), a failing
+verdict or a closed stdout (nothing on stderr), 2 usage error, 3
+internal invariant failure (PredictionMismatch, with the same
+{"error": ...} record).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
-from types import ModuleType, SimpleNamespace
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .laurent import LaurentPoly
-    from .satellite import CheckedCompanion, WindingCheck
+    from .satellite import WindingCheck
     from .torusknot import TorusKnotSpec
 
 FORMAT_ENV = "KNOTPOLY_FORMAT"
@@ -42,28 +46,6 @@ FORMAT_ENV = "KNOTPOLY_FORMAT"
 # declaring them does not import repglue.
 _GLUE_CASES = ("diagonal", "jordan_plus", "jordan_minus")
 _GLUE_TOL = 1e-9
-
-_DOMAIN_ERRORS = (ValueError, ArithmeticError)
-
-
-def _domain_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (*_DOMAIN_ERRORS, RuntimeError) as exc:
-            if isinstance(exc, RuntimeError):
-                # PredictionMismatch is the one RuntimeError reported; importing
-                # it here keeps satellite out of the commands that never load it
-                from .satellite import PredictionMismatch
-
-                if not isinstance(exc, PredictionMismatch):
-                    raise
-            _echo(_dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}}))
-            sys.exit(1 if isinstance(exc, _DOMAIN_ERRORS) else 3)
-
-    return wrapper
-
 
 # json.dumps builds a new encoder on every call; one with the same
 # settings is built once here and gives the same bytes.
@@ -80,6 +62,14 @@ def _echo(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
+def _emit(fmt: str, lines: list[str], record: dict) -> None:
+    if fmt == "json":
+        _echo(_dumps(record))
+    else:
+        for line in lines:
+            _echo(line)
+
+
 def _spec_json(k: TorusKnotSpec) -> dict:
     return {"a": k.a, "b": k.b}
 
@@ -90,41 +80,24 @@ def _slope_str(s) -> str:
     return "inf" if s == INFINITE_SLOPE else str(s)
 
 
-@_domain_errors
 def alexander(knot: str, fmt: str):
     """Symmetrized Alexander polynomial of a torus knot T(a,b)."""
     from . import torusknot
 
     k = torusknot.parse_spec(knot)
-    poly = torusknot.alexander(k)
-    if fmt == "text":
-        _echo(str(poly))
-    else:
-        _echo(
-            _dumps(
-                {
-                    "knot": _spec_json(k),
-                    "genus": torusknot.genus(k),
-                    "alexander": str(poly),
-                }
-            )
-        )
+    text = str(torusknot.alexander(k))
+    _emit(fmt, [text], {"knot": _spec_json(k), "genus": torusknot.genus(k), "alexander": text})
 
 
-@_domain_errors
 def apoly(knot: str, fmt: str):
     """Enhanced A-polynomial of a torus knot T(a,b)."""
     from . import torusknot
 
     k = torusknot.parse_spec(knot)
-    poly = torusknot.enhanced_apoly(k)
-    if fmt == "text":
-        _echo(str(poly))
-    else:
-        _echo(_dumps({"knot": _spec_json(k), "apoly": str(poly)}))
+    text = str(torusknot.enhanced_apoly(k))
+    _emit(fmt, [text], {"knot": _spec_json(k), "apoly": text})
 
 
-@_domain_errors
 def newton(poly: str, fmt: str):
     """Newton polygon, edge slopes, and thinness of an (L, M) polynomial."""
     from . import apolygon
@@ -132,34 +105,28 @@ def newton(poly: str, fmt: str):
     f = apolygon.BiPoly.parse(poly)
     npg = apolygon.newton_polygon(f)
     thin = apolygon.thinness(f)
-    if fmt == "text":
-        _echo("points: " + " ".join(f"({l},{m})" for l, m in npg.lattice_points))
-        _echo("hull: " + " ".join(f"({l},{m})" for l, m in npg.hull_vertices))
-        _echo("edge slopes: " + " ".join(_slope_str(s) for s in npg.edge_slopes))
-        if thin.kind == "thin":
-            _echo(f"thinness: thin slope={thin.slope}")
-        elif thin.infinite_slope:
-            _echo("thinness: not_thin (vertical support)")
-        else:
-            _echo(f"thinness: {thin.kind}")
+    slopes = [_slope_str(s) for s in npg.edge_slopes]
+    slope = None if thin.slope is None else str(thin.slope)
+    if thin.kind == "thin":
+        verdict = f"thin slope={slope}"
+    elif thin.infinite_slope:
+        verdict = "not_thin (vertical support)"
     else:
-        _echo(
-            _dumps(
-                {
-                    "points": [list(p) for p in npg.lattice_points],
-                    "hull": [list(p) for p in npg.hull_vertices],
-                    "edge_slopes": [_slope_str(s) for s in npg.edge_slopes],
-                    "thinness": {
-                        "kind": thin.kind,
-                        "slope": None if thin.slope is None else str(thin.slope),
-                        "infinite_slope": thin.infinite_slope,
-                    },
-                }
-            )
-        )
+        verdict = thin.kind
+    lines = [
+        "points: " + " ".join(f"({l},{m})" for l, m in npg.lattice_points),
+        "hull: " + " ".join(f"({l},{m})" for l, m in npg.hull_vertices),
+        "edge slopes: " + " ".join(slopes),
+        "thinness: " + verdict,
+    ]
+    _emit(fmt, lines, {
+        "points": [list(p) for p in npg.lattice_points],
+        "hull": [list(p) for p in npg.hull_vertices],
+        "edge_slopes": slopes,
+        "thinness": {"kind": thin.kind, "slope": slope, "infinite_slope": thin.infinite_slope},
+    })
 
 
-@_domain_errors
 def detect(poly: str, degree: int | None, fmt: str):
     """Identify torus knots from an enhanced A-polynomial."""
     from . import apolygon
@@ -169,25 +136,17 @@ def detect(poly: str, degree: int | None, fmt: str):
         result = apolygon.detect_torus_from_apoly(f)
     else:
         result = apolygon.detect_with_degree(f, degree)
-    if fmt == "json":
-        _echo(
-            _dumps(
-                {
-                    "unknot": result.is_unknot,
-                    "unique": result.unique,
-                    "candidates": [_spec_json(k) for k in result.candidates],
-                }
-            )
-        )
-        return
     if result.is_unknot:
-        _echo("unknot")
+        lines = ["unknot"]
     elif not result.candidates:
-        _echo("no match")
+        lines = ["no match"]
     else:
-        for k in result.candidates:
-            _echo(str(k))
-        _echo("unique" if result.unique else "ambiguous")
+        lines = [*map(str, result.candidates), "unique" if result.unique else "ambiguous"]
+    _emit(fmt, lines, {
+        "unknot": result.is_unknot,
+        "unique": result.unique,
+        "candidates": [_spec_json(k) for k in result.candidates],
+    })
 
 
 def _parse_companion(text: str) -> LaurentPoly:
@@ -200,42 +159,25 @@ def _parse_companion(text: str) -> LaurentPoly:
     return LaurentPoly.parse(text)
 
 
-def _witness_json(check: WindingCheck) -> dict:
+def _obstruction_record(a: int, b: int, w: int, label: str, check: WindingCheck) -> dict:
     if check.kind == "magnitude_violation":
-        return {
+        witness = {"kind": check.kind, "exponent": check.exponent, "coefficient": check.coefficient}
+    else:
+        witness = {
             "kind": check.kind,
-            "exponent": check.exponent,
-            "coefficient": check.coefficient,
+            "exponents": list(check.exponent_pair),
+            "coefficients": list(check.coefficients),
         }
-    return {
-        "kind": check.kind,
-        "exponents": list(check.exponent_pair),
-        "coefficients": list(check.coefficients),
-    }
+    return {"a": a, "b": b, "w": w, "companion": label, "verdict": "obstructed", "witness": witness}
 
 
-def _obstruction_record(
-    satellite: ModuleType,
-    a: int,
-    b: int,
-    w: int,
-    companion: LaurentPoly | CheckedCompanion,
-    label: str,
-) -> dict:
-    # the command imports satellite once and passes the module in
-    check = satellite.torus_satellite_obstruction(a, b, w, companion)
-    record = {"a": a, "b": b, "w": w, "companion": label, "verdict": "obstructed"}
-    record["witness"] = _witness_json(check)
-    return record
-
-
-@_domain_errors
 def obstruct(a: int, b: int, w: int, companion: str):
     """L-space surgery obstruction for a torus-pattern satellite."""
     from . import satellite
 
     poly = _parse_companion(companion)
-    _echo(_dumps(_obstruction_record(satellite, a, b, w, poly, str(poly))))
+    check = satellite.torus_satellite_obstruction(a, b, w, poly)
+    _echo(_dumps(_obstruction_record(a, b, w, str(poly), check)))
 
 
 def _coprime_pairs(limit: int):
@@ -246,7 +188,6 @@ def _coprime_pairs(limit: int):
                 yield big, small
 
 
-@_domain_errors
 def sweep_obstruct(a_max: int, companion_max: int):
     """Check every torus-pattern satellite with w^2 | ab in range."""
     from . import satellite, torusknot
@@ -268,14 +209,14 @@ def sweep_obstruct(a_max: int, companion_max: int):
             if (a * b) % (w * w):
                 continue
             for label, checked in companions:
-                _echo(_dumps(_obstruction_record(satellite, a, b, w, checked, label)))
+                check = satellite.torus_satellite_obstruction(a, b, w, checked)
+                _echo(_dumps(_obstruction_record(a, b, w, label, check)))
                 total += 1
     # every record is obstructed: w^2 | ab leaves w mod b nonzero
     summary = {"total": total, "obstructed": total, "config_impossible": 0, "not_obstructed": 0}
     _echo(_dumps({"summary": summary}))
 
 
-@_domain_errors
 def sweep_thinness(limit: int):
     """Check the Newton polygon of every enhanced A-polynomial in range is
     a segment of slope ab."""
@@ -303,15 +244,16 @@ def sweep_thinness(limit: int):
             total += 1
             mismatches += 0 if ok else 1
     _echo(_dumps({"summary": {"total": total, "mismatches": mismatches}}))
-    if mismatches:
-        sys.exit(1)
+    return 1 if mismatches else 0
 
 
-def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
+def glue_verify(count: int, seed: int, tolerance: float, case_kind: str = "all"):
+    """Construct and independently verify randomized gluing instances."""
     from random import Random
 
     from . import repglue
 
+    kinds = _GLUE_CASES if case_kind == "all" else (case_kind,)
     rng = Random(seed)
     failures = 0
     for kind in kinds:
@@ -335,21 +277,7 @@ def _glue_sweep(kinds, count: int, seed: int, tolerance: float):
             _echo(_dumps(record))
             failures += 0 if res.ok else 1
     _echo(_dumps({"summary": {"total": len(kinds) * count, "failed": failures}}))
-    if failures:
-        sys.exit(1)
-
-
-@_domain_errors
-def sweep_glue(per_case: int, seed: int, tolerance: float):
-    """Randomized construct-and-verify sweep over all three gluing cases."""
-    _glue_sweep(_GLUE_CASES, per_case, seed, tolerance)
-
-
-@_domain_errors
-def glue_verify(case_kind: str, count: int, seed: int, tolerance: float):
-    """Construct and independently verify randomized gluing instances."""
-    kinds = _GLUE_CASES if case_kind == "all" else (case_kind,)
-    _glue_sweep(kinds, count, seed, tolerance)
+    return 1 if failures else 0
 
 
 def _checked(kind: type, ok, want: str):
@@ -373,7 +301,8 @@ def _parser(prog: str, entry) -> argparse.ArgumentParser:
 
 
 class _Main(SimpleNamespace):
-    """``main(argv=None) -> int``: parse with the named command's parser only, run it."""
+    """``main(argv=None) -> int``: parse with the named command's parser only, run it,
+    and turn what it returns or raises into the exit code."""
 
     def __call__(self, argv=None) -> int:
         prog, entry, args = self.name, self, sys.argv[1:] if argv is None else list(argv)
@@ -388,10 +317,28 @@ class _Main(SimpleNamespace):
                 ns.poly = extra.pop(0)  # argparse reads an unspaced -1+M^210*L^2 as an option
             if extra or getattr(ns, "poly", "") is None:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}" if extra else "no poly")
-            entry.callback(**vars(ns))  # looked up per call: the benchmark's tracer wraps it
         except SystemExit as exc:
             return exc.code
-        return 0
+        try:
+            try:
+                # looked up per call: the benchmark's tracer wraps it
+                code = entry.callback(**vars(ns)) or 0
+            except (ValueError, ArithmeticError, RuntimeError) as exc:
+                if isinstance(exc, RuntimeError):
+                    # PredictionMismatch is the one RuntimeError reported; importing it
+                    # here keeps satellite out of the commands that never load it
+                    from .satellite import PredictionMismatch
+
+                    if not isinstance(exc, PredictionMismatch):
+                        raise
+                _echo(_dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}}))
+                code = 3 if isinstance(exc, RuntimeError) else 1
+            sys.stdout.flush()  # a closed pipe met by the last buffered write is caught here too
+        except BrokenPipeError:
+            # the reader is gone: stdout goes to devnull, so the flush at exit stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        return code
 
     def main(self, args=None, prog_name=None):
         # click.testing.CliRunner's call; it goes once tests/ and perfbench/ call main(argv)
@@ -418,7 +365,8 @@ _SWEEPS = {
     "obstruct": _Leaf(sweep_obstruct, {"--a-max": {"type": _MIN_3, "default": 20},
                                        "--companion-max": {"type": _MIN_3, "default": 10}}),
     "thinness": _Leaf(sweep_thinness, {"--max": {"type": _MIN_3, "dest": "limit", "default": 40}}),
-    "glue": _Leaf(sweep_glue, {"--per-case": _COUNT, **_GLUE}),
+    "glue": _Leaf(glue_verify, {"--per-case": {**_COUNT, "dest": "count", "metavar": "PER_CASE"},
+                                **_GLUE}),
 }
 _CASE = {"dest": "case_kind", "choices": (*_GLUE_CASES, "all"), "default": "all"}
 main = _Main(name="knotpoly", doc=__doc__.partition("\n")[0], commands={
@@ -430,6 +378,3 @@ main = _Main(name="knotpoly", doc=__doc__.partition("\n")[0], commands={
     "sweep": SimpleNamespace(doc="Exhaustive and randomized sweeps (NDJSON).", commands=_SWEEPS),
     "glue-verify": _Leaf(glue_verify, {"--case": _CASE, "--count": _COUNT, **_GLUE}),
 })
-
-if __name__ == "__main__":
-    sys.exit(main())

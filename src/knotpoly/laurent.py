@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping
 
+from . import _Frozen
+
 
 class NonExactDivision(ValueError):
     """Raised when a quotient in Z[t, t^-1] would need a remainder."""
@@ -49,38 +51,6 @@ def split_terms(text: str) -> list[str]:
             start = i
     chunks.append(s[start:])
     return chunks
-
-
-class _Frozen:
-    """Base of the immutable value types: a subclass lists its fields in __slots__ and
-    sets each once in __init__ with object.__setattr__.  Equality (same class, equal
-    _compared fields, all by default), hash, repr, copy and pickle read the fields."""
-
-    __slots__ = ()
-    _compared: tuple[str, ...] | None = None
-
-    def _values(self, names: tuple[str, ...] | None = None) -> tuple:
-        return tuple([getattr(self, name) for name in names or self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self._compared) == other._values(self._compared)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values(self._compared))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 class LaurentPoly(_Frozen):

@@ -31,7 +31,7 @@ import cmath
 import math
 from random import Random
 
-from .laurent import _Frozen
+from . import _Frozen
 
 DEFAULT_TOL = 1e-9
 _ANGLE_TOL = 1e-6

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 
-from .laurent import LaurentPoly, _Frozen
+from . import _Frozen
+from .laurent import LaurentPoly
 # alexander is unused: perfbench's binding self-test asserts satellite.alexander is torusknot's
 from .torusknot import MAX_TERMS, _closed_form, _form_coefficient, alexander
 
@@ -142,11 +143,16 @@ class CheckedCompanion(_Frozen):
     check_companion; being admissible, the companion's top two terms are
     t^h - t^(h-1), which is all a witness reads of it.  Build it with
     check_companion, once per companion, and pass it to winding_violation
-    or torus_satellite_obstruction for every record."""
+    or torus_satellite_obstruction for every record.  A genus that is not
+    an int raises TypeError, one below 1 ValueError."""
 
     __slots__ = ("genus",)
 
     def __init__(self, genus: int):
+        if not isinstance(genus, int) or isinstance(genus, bool):
+            raise TypeError(f"companion genus must be an int, got {genus!r}")
+        if genus < 1:
+            raise ValueError("companion genus must be >= 1")
         object.__setattr__(self, "genus", genus)
 
 
@@ -158,10 +164,7 @@ def check_companion(companion: LaurentPoly) -> CheckedCompanion:
         raise ValueError(
             f"companion polynomial must be admissible, but it {report.verdict}"
         )
-    h = companion.span()[1]
-    if h < 1:
-        raise ValueError("companion genus must be >= 1")
-    return CheckedCompanion(h)
+    return CheckedCompanion(companion.span()[1])
 
 
 def winding_violation(

@@ -12,7 +12,8 @@ import math
 import re
 from typing import TYPE_CHECKING
 
-from .laurent import LaurentPoly, _Frozen, _raw
+from . import _Frozen
+from .laurent import LaurentPoly, _raw
 
 # alexander refuses a knot with more nonzero terms than this before it
 # allocates anything: about 175 MB peak to build and print one this size.

@@ -24,6 +24,18 @@ def lines(result):
     return result.output.strip().splitlines()
 
 
+def fresh(args, code=None):
+    """Start ``python -c code *args``, or ``python -m knotpoly *args`` without
+    code, in a fresh interpreter on this checkout's src, stdout and stderr
+    piped as text."""
+    src = str(Path(knotpoly.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, *(["-c", code] if code else ["-m", "knotpoly"]), *args],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
 class TestAlexander:
     def test_text(self, runner):
         r = runner.invoke(main, ["alexander", "T(5,2)"])
@@ -642,10 +654,10 @@ class TestModuleEntry:
             ([], set()),
             (["alexander", "T(5,2)"], {"laurent", "torusknot"}),
             (["newton", "1 + M*L"], {"laurent", "apolygon"}),
+            (["glue-verify", "--count", "1"], {"repglue"}),
         ],
     )
     def test_commands_import_only_what_they_use(self, args, loaded):
-        src = str(Path(knotpoly.__file__).resolve().parents[1])
         code = (
             "import sys\n"
             "from knotpoly.cli import main\n"
@@ -655,12 +667,10 @@ class TestModuleEntry:
             "    pass\n"
             "print(sorted(m for m in sys.modules if m.startswith('knotpoly.')))\n"
         )
-        r = subprocess.run(
-            [sys.executable, "-c", code, *args],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        )
-        assert r.returncode == 0, r.stderr
-        modules = r.stdout.strip().splitlines()[-1]
+        r = fresh(args, code)
+        out, err = r.communicate(timeout=60)
+        assert r.returncode == 0, err
+        modules = out.strip().splitlines()[-1]
         assert modules == str(sorted(f"knotpoly.{m}" for m in {"cli", *loaded}))
 
     @pytest.mark.parametrize(
@@ -672,7 +682,6 @@ class TestModuleEntry:
     )
     def test_queries_skip_fractions(self, args):
         # only abelian_slope_family builds a Fraction, and no command calls it
-        src = str(Path(knotpoly.__file__).resolve().parents[1])
         code = (
             "import sys\n"
             "from knotpoly.cli import main\n"
@@ -682,12 +691,10 @@ class TestModuleEntry:
             "    assert exc.code == 0, exc.code\n"
             "print('fractions' in sys.modules)\n"
         )
-        r = subprocess.run(
-            [sys.executable, "-c", code, *args],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        )
-        assert r.returncode == 0, r.stderr
-        assert r.stdout.strip().splitlines()[-1] == "False"
+        r = fresh(args, code)
+        out, err = r.communicate(timeout=60)
+        assert r.returncode == 0, err
+        assert out.strip().splitlines()[-1] == "False"
 
     def test_piped_sweep_matches_in_process(self, runner):
         # A stdout stream cached at import would miss CliRunner's swap, so
@@ -718,7 +725,6 @@ class TestModuleEntry:
     )
     def test_queries_never_import_click(self, args):
         # nor dataclasses, and only newton, which prints slopes, loads fractions
-        src = str(Path(knotpoly.__file__).resolve().parents[1])
         code = (
             "import sys\n"
             "from knotpoly.cli import main\n"
@@ -729,29 +735,29 @@ class TestModuleEntry:
             "assert code == 0, code\n"
             "print([m in sys.modules for m in ('click', 'dataclasses', 'fractions')])\n"
         )
-        r = subprocess.run(
-            [sys.executable, "-c", code, *args],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        )
-        assert r.returncode == 0, r.stderr
-        loaded = r.stdout.strip().splitlines()[-1]
+        r = fresh(args, code)
+        out, err = r.communicate(timeout=60)
+        assert r.returncode == 0, err
+        loaded = out.strip().splitlines()[-1]
         assert loaded == str([False, False, args[0] == "newton"])
 
     def test_python_m_keeps_exit_codes(self):
-        src = str(Path(knotpoly.__file__).resolve().parents[1])
-        r = subprocess.run(
-            [sys.executable, "-m", "knotpoly", "alexander", "T(4,2)"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        )
+        r = fresh(["alexander", "T(4,2)"])
+        out, _ = r.communicate(timeout=60)
         assert r.returncode == 1
-        assert json.loads(r.stdout)["error"]["kind"] == "ValueError"
+        assert json.loads(out)["error"]["kind"] == "ValueError"
 
     def test_python_m_help(self):
-        src = str(Path(knotpoly.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        r = subprocess.run(
-            [sys.executable, "-m", "knotpoly", "--help"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert r.returncode == 0, r.stderr
-        assert "sweep" in r.stdout
+        r = fresh(["--help"])
+        out, err = r.communicate(timeout=60)
+        assert r.returncode == 0, err
+        assert "sweep" in out
+
+    def test_closed_stdout_ends_quietly(self):
+        # 6,000 records fill the pipe long before the sweep ends, so a write
+        # meets the closed reader: exit 1 as on EPIPE, and no traceback
+        with fresh(["sweep", "glue", "--per-case", "2000"]) as r:
+            assert json.loads(r.stdout.readline())["case"] == "diagonal"
+            r.stdout.close()
+            assert r.wait(timeout=60) == 1
+            assert r.stderr.read() == ""

@@ -372,6 +372,14 @@ class TestWindingViolation:
         with pytest.raises(ValueError, match="genus"):
             check_companion(LaurentPoly({0: 1}))
 
+    @pytest.mark.parametrize(
+        "h,error", [(0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError)]
+    )
+    def test_checked_companion_rejects_bad_genus(self, h, error):
+        # no CheckedCompanion, so no witness, for a genus no companion has
+        with pytest.raises(error, match="companion genus must be"):
+            CheckedCompanion(h)
+
 
 class TestObstruction:
     def test_obstructed_goldens(self):
