@@ -57,8 +57,9 @@ def _dumps(obj) -> str:
 
 
 def _echo(line: str) -> None:
-    # sys.stdout is looked up on each call because CliRunner swaps it; the
-    # stream's own buffering decides when a record reaches a pipe
+    # sys.stdout is looked up on each call, so a caller's stream swap is seen
+    # (pytest's capture, or the benchmark's CliRunner); the stream's own
+    # buffering decides when a record reaches a pipe
     sys.stdout.write(line + "\n")
 
 
@@ -341,7 +342,8 @@ class _Main(SimpleNamespace):
         return code
 
     def main(self, args=None, prog_name=None):
-        # click.testing.CliRunner's call; it goes once tests/ and perfbench/ call main(argv)
+        # CliRunner's call, kept for its one caller, perfbench/run.py run_traced;
+        # test_main_main_raises_the_exit_code pins it
         raise SystemExit(self(args))
 
 

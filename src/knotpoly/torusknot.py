@@ -1,5 +1,5 @@
 """Torus knot invariants: Alexander polynomials, genus, enhanced
-A-polynomials, and the family of lens-space surgery slopes.
+A-polynomials, and one of the two families of lens-space surgery slopes.
 
 Specs are canonical with |a| > b >= 2 and the orientation sign carried on
 a, so T(a, b), T(b, a), and sign-scattered inputs all collapse to one
@@ -164,7 +164,11 @@ def enhanced_apoly(k: TorusKnotSpec) -> BiPoly:
 
 def abelian_slope_family(k: TorusKnotSpec, n_max: int) -> tuple[list[Fraction], int]:
     """Surgery slopes (n*ab + 1)/n for 1 <= n <= n_max, in lowest terms,
-    plus the limiting slope ab they accumulate at."""
+    plus the limiting slope ab they accumulate at.
+
+    p/q surgery on T(a, b) is a lens space iff |p - q*ab| = 1 (Moser,
+    Pacific J. Math. 38, 1971), so these slopes are one of two families:
+    (n*ab - 1)/n, not returned here, is SL(2,C)-abelian as well."""
     # imported here so that the queries that never build a slope skip it
     from fractions import Fraction
 

@@ -14,10 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from click.testing import CliRunner
-
-from knotpoly.cli import main
-
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
@@ -29,35 +25,35 @@ GLUE_ABORTS = _RECORDED["glue_aborts"]["full"]
 INVOCATIONS = workloads.all_invocations("tiny")
 
 
-def replay(args):
-    r = CliRunner().invoke(main, list(args), env={"KNOTPOLY_FORMAT": None})
-    return r.exit_code, hashlib.sha256(r.stdout_bytes).hexdigest()
+def replay(run, args):
+    code, out, _ = run(args)
+    return code, hashlib.sha256(out).hexdigest()
 
 
-def test_tiny_invocations_match_goldens():
+def test_tiny_invocations_match_goldens(run):
     assert len(INVOCATIONS) == 333
     mismatched = []
     for args in INVOCATIONS:
         golden = GOLDENS[workloads.key(args)]
-        if replay(args) != (golden["exit"], golden["sha256"]):
+        if replay(run, args) != (golden["exit"], golden["sha256"]):
             mismatched.append(workloads.key(args))
     assert not mismatched
 
 
-def test_full_obstruct_sweep_matches_golden():
+def test_full_obstruct_sweep_matches_golden(run):
     # 8,500 records, every one read from the closed form
     args = ("sweep", "obstruct", *workloads.OBSTRUCT_ARGS["full"])
     golden = GOLDENS[workloads.key(args)]
     assert golden["exit"] == 0 and golden["records"] == 8500
-    assert replay(args) == (0, golden["sha256"])
+    assert replay(run, args) == (0, golden["sha256"])
 
 
 @pytest.mark.parametrize("cli_seed", [3, 17])
-def test_full_glue_sweep_matches_golden(cli_seed):
+def test_full_glue_sweep_matches_golden(run, cli_seed):
     # 6,000 records each, against 15 per tiny sweep; neither seed aborts
     assert cli_seed not in GLUE_ABORTS
     per_case = workloads.GLUE_PER_CASE["full"]
     args = ("sweep", "glue", "--per-case", str(per_case), "--seed", str(cli_seed))
     golden = GOLDENS[workloads.key(args)]
     assert golden["exit"] == 0 and golden["records"] == 3 * per_case
-    assert replay(args) == (0, golden["sha256"])
+    assert replay(run, args) == (0, golden["sha256"])

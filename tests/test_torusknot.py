@@ -232,6 +232,7 @@ class TestSlopeFamily:
     def test_lowest_terms_and_convergence(self):
         slopes, limit = abelian_slope_family(TorusKnotSpec(5, 2), 30)
         assert all(s.denominator == n for n, s in enumerate(slopes, start=1))
+        assert all(abs(s.numerator - s.denominator * limit) == 1 for s in slopes)
         diffs = [abs(s - limit) for s in slopes]
         assert all(x > y for x, y in zip(diffs, diffs[1:]))
 
