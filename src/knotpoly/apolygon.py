@@ -90,11 +90,6 @@ class BiPoly(_Frozen):
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self._terms == other._terms
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._terms.items())))
 
@@ -180,17 +175,9 @@ def newton_polygon(f: BiPoly) -> NewtonPolygon:
         raise ValueError("the zero polynomial has no Newton polygon")
     points = f.support()
     hull = _convex_hull(points)
-    if len(hull) == 1:
-        slopes: tuple = ()
-    else:
-        seen = []
-        for i, u in enumerate(hull):
-            v = hull[(i + 1) % len(hull)]
-            s = _edge_slope(u, v)
-            if s not in seen:
-                seen.append(s)
-        finite = sorted(s for s in seen if s is not INFINITE_SLOPE)
-        slopes = tuple(finite) + ((INFINITE_SLOPE,) if INFINITE_SLOPE in seen else ())
+    edges = zip(hull, hull[1:] + hull[:1]) if len(hull) > 1 else ()
+    # a Fraction sorts below INFINITE_SLOPE, so a vertical edge comes last
+    slopes = tuple(sorted({_edge_slope(u, v) for u, v in edges}))
     return NewtonPolygon(tuple(points), tuple(hull), slopes)
 
 
@@ -210,20 +197,19 @@ class ThinnessResult(_Frozen):
 
 
 def thinness(f: BiPoly) -> ThinnessResult:
-    """Classify the support: single point, collinear (thin), or neither."""
+    """Classify the support by its convex hull: a single point, a segment
+    (thin, unless it is vertical), or a polygon (not thin)."""
     if not f:
         raise ValueError("the zero polynomial has no Newton polygon")
-    points = f.support()
-    if len(points) == 1:
+    hull = _convex_hull(f.support())
+    if len(hull) == 1:
         return ThinnessResult("point")
-    o = points[0]
-    anchor = points[-1]
-    if any(_cross(o, anchor, p) != 0 for p in points[1:-1]):
+    if len(hull) > 2:
         return ThinnessResult("not_thin")
-    if anchor[0] == o[0]:
+    slope = _edge_slope(*hull)
+    if slope is INFINITE_SLOPE:
         return ThinnessResult("not_thin", infinite_slope=True)
-    from fractions import Fraction  # loaded only by the queries that build a slope
-    return ThinnessResult("thin", slope=Fraction(anchor[1] - o[1], anchor[0] - o[0]))
+    return ThinnessResult("thin", slope=slope)
 
 
 # ------- Torus knot detection -------
@@ -261,15 +247,13 @@ class DetectionResult(_Frozen):
         object.__setattr__(self, "is_unknot", is_unknot)
 
 
-# Enhanced A-polynomial templates of torus knots T(a, b), one per
-# (L-degree, coefficient of the L-monomial, mirrored): degree one for
-# two-strand knots, two otherwise.  The M-power |a| * b * L-degree sits on
-# the L-monomial, or on the constant monomial for the mirror (a < 0).
-APOLY_TEMPLATES = ((1, 1, False), (1, 1, True), (2, -1, False), (2, -1, True))
-
-
-def template_terms(l_degree: int, top: int, mirrored: bool, m_exp: int) -> dict:
-    """Terms of a template with the given M-power, in normalized sign."""
+def template_terms(l_degree: int, mirrored: bool, m_exp: int) -> dict:
+    """Terms of an enhanced A-polynomial template of torus knots T(a, b),
+    in normalized sign: L-degree one for two-strand knots, with the
+    L-monomial's coefficient +1, and two otherwise, with -1.  The M-power
+    |a| * b * L-degree sits on the L-monomial, or on the constant monomial
+    for the mirror (a < 0)."""
+    top = 1 if l_degree == 1 else -1
     if mirrored:
         return {(0, m_exp): 1, (l_degree, 0): top}
     return {(0, 0): 1, (l_degree, m_exp): top}
@@ -286,9 +270,9 @@ def detect_torus_from_apoly(f: BiPoly) -> DetectionResult:
     if len(terms) != 2:
         return DetectionResult((), False, False)
     low, high = sorted(terms)
-    for l_degree, top, mirrored in APOLY_TEMPLATES:
+    for l_degree, mirrored in ((1, False), (1, True), (2, False), (2, True)):
         m_exp = low[1] if mirrored else high[1]
-        if terms != template_terms(l_degree, top, mirrored, m_exp):
+        if terms != template_terms(l_degree, mirrored, m_exp):
             continue
         # The M-power over the L-degree is |a| * b, and b = 2 exactly for
         # the two-strand templates, which therefore pin the knot down.

@@ -75,12 +75,6 @@ def _spec_json(k: TorusKnotSpec) -> dict:
     return {"a": k.a, "b": k.b}
 
 
-def _slope_str(s) -> str:
-    from .apolygon import INFINITE_SLOPE
-
-    return "inf" if s == INFINITE_SLOPE else str(s)
-
-
 def alexander(knot: str, fmt: str):
     """Symmetrized Alexander polynomial of a torus knot T(a,b)."""
     from . import torusknot
@@ -106,7 +100,7 @@ def newton(poly: str, fmt: str):
     f = apolygon.BiPoly.parse(poly)
     npg = apolygon.newton_polygon(f)
     thin = apolygon.thinness(f)
-    slopes = [_slope_str(s) for s in npg.edge_slopes]
+    slopes = [str(s) for s in npg.edge_slopes]  # str(INFINITE_SLOPE) is "inf"
     slope = None if thin.slope is None else str(thin.slope)
     if thin.kind == "thin":
         verdict = f"thin slope={slope}"

@@ -153,13 +153,10 @@ def enhanced_apoly(k: TorusKnotSpec) -> BiPoly:
     """Enhanced A-polynomial template: degree one in L for two-strand
     knots, degree two otherwise, with the mirror moving the M-power to the
     other monomial."""
-    from .apolygon import APOLY_TEMPLATES, BiPoly, template_terms
+    from .apolygon import BiPoly, template_terms
 
     l_degree = 1 if k.b == 2 else 2
-    template = next(
-        t for t in APOLY_TEMPLATES if t[0] == l_degree and t[2] == (k.a < 0)
-    )
-    return BiPoly(template_terms(*template, l_degree * abs(k.a) * k.b))
+    return BiPoly(template_terms(l_degree, k.a < 0, l_degree * abs(k.a) * k.b))
 
 
 def abelian_slope_family(k: TorusKnotSpec, n_max: int) -> tuple[list[Fraction], int]:

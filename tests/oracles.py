@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from fractions import Fraction
 from math import gcd
 
 # A dense polynomial is (offset, coeffs) representing
@@ -167,6 +168,20 @@ def hull_is_valid(points, hull) -> bool:
     return True
 
 
+def thinness_brute(points) -> tuple:
+    """(kind, slope, infinite_slope) of a nonempty support, from cross
+    products against its two extreme points in sorted order; no hull."""
+    pts = sorted(set(points))
+    if len(pts) == 1:
+        return "point", None, False
+    first, last = pts[0], pts[-1]
+    if any(cross(first, last, p) for p in pts):
+        return "not_thin", None, False
+    if first[0] == last[0]:
+        return "not_thin", None, True
+    return "thin", Fraction(last[1] - first[1], last[0] - first[0]), False
+
+
 def omega(n: int) -> int:
     count = 0
     d = 2
@@ -297,6 +312,73 @@ def extension_residuals_reference(g, e) -> tuple[float, float, float]:
 _Mat = namedtuple("_Mat", "a b c d")
 
 
+def _power_coefficients(theta: float, e: int) -> tuple[float, float]:
+    """(s, t) with A^e = s*A + t*I for every A in SL(2,C) with eigenvalues
+    e^(+-i*theta), theta not a multiple of pi (Cayley-Hamilton)."""
+    return math.sin(e * theta) / math.sin(theta), -math.sin((e - 1) * theta) / math.sin(theta)
+
+
+def nonabelian_surgery_rep(a: int, b: int, p: int, q: int) -> bool:
+    """Whether p/q surgery on the torus knot T(a, b), a, b >= 2 coprime, has
+    an irreducible (so non-abelian) SL(2,C) representation.
+
+    The knot group is <x, y | x^a = y^b>, with meridian mu = x^u y^v where
+    b*u + a*v = 1, and longitude lam = x^a mu^(-ab).  An irreducible rep
+    sends the central x^a to eps*I, eps = +-1: X and Y have eigenvalues
+    e^(+-i*pi*k/a) and e^(+-i*pi*l/b), 0 < k < a, 0 < l < b, with
+    (-1)^k = (-1)^l = eps.  The surgery relation mu^p lam^q = I becomes
+    mu^n = eps^q I with n = p - q*ab.  Since mu normally generates, it is
+    not +-I, so it has an eigenvalue zeta != +-1 with zeta^n = eps^q; for
+    n = 0 only eps^q = 1 is needed, and any generic tr XY will do.  With
+    X^u = alpha*X + beta*I and Y^v = gamma*Y + delta*I, tr mu is
+    alpha*gamma*tr(XY) + const, and alpha*gamma != 0 because u and v are
+    units mod a and mod b, so each zeta fixes tr XY.  Solutions with
+    tr[X, Y] = 2 are reducible and skipped; the others are built as
+    explicit matrices and accepted when X^a = Y^b = eps*I and
+    (X^u Y^v)^n = eps^q I hold within 1e-6.
+    """
+    u = pow(b, -1, a)
+    v = (1 - b * u) // a
+    n = p - q * a * b
+    for k in range(1, a):
+        eps = -1 if k % 2 else 1
+        target = eps**q
+        if n == 0 and target != 1:
+            continue
+        # zeta = e^(i*phi) with n*phi = 0 (eps^q = 1) or pi (eps^q = -1), mod 2*pi
+        phis = [(2 * j + (target < 0)) * math.pi / n for j in range(abs(n))]
+        mu_traces = [2 * math.cos(phi) for phi in phis if abs(math.sin(phi)) > 1e-9]
+        for l in range(k % 2 or 2, b, 2):
+            theta, psi = math.pi * k / a, math.pi * l / b
+            x, y = 2 * math.cos(theta), 2 * math.cos(psi)
+            alpha, beta = _power_coefficients(theta, u)
+            gamma, delta = _power_coefficients(psi, v)
+            if n:
+                const = alpha * delta * x + beta * gamma * y + 2 * beta * delta
+                traces = [(t - const) / (alpha * gamma) for t in mu_traces]
+            else:
+                traces = [complex(0.3, 0.7)]
+            for z in traces:
+                if abs(x * x + y * y + z * z - x * y * z - 4) < 1e-9:
+                    continue
+                xi = cmath.exp(1j * theta)
+                y11 = (z - y / xi) / (xi - 1 / xi)
+                y22 = y - y11
+                big_x = _Mat(xi, 0, 0, 1 / xi)
+                big_y = _Mat(y11, 1, y11 * y22 - 1, y22)
+                mu = mat_product(
+                    binary_power_reference(big_x, u), binary_power_reference(big_y, v)
+                )
+                residual = max(
+                    mat_dist(binary_power_reference(big_x, a), _Mat(eps, 0, 0, eps)),
+                    mat_dist(binary_power_reference(big_y, b), _Mat(eps, 0, 0, eps)),
+                    mat_dist(binary_power_reference(mu, n), _Mat(target, 0, 0, target)),
+                )
+                if residual < 1e-6:
+                    return True
+    return False
+
+
 def _selftest() -> None:
     assert torus_alexander_oracle(3, 2) == {1: 1, 0: -1, -1: 1}
     assert torus_alexander_oracle(5, 2) == {2: 1, 1: -1, 0: 1, -1: -1, -2: 1}
@@ -310,6 +392,9 @@ def _selftest() -> None:
     assert coprime_splits_brute(75) == [(3, 25)]
     assert hull_is_valid([(0, 0), (2, 210)], [(0, 0), (2, 210)])
     assert hull_is_valid([(0, 0), (1, 0), (1, 6), (2, 6)], [(0, 0), (1, 0), (2, 6), (1, 6)])
+    assert thinness_brute([(0, 0), (1, 2), (2, 4)]) == ("thin", Fraction(2), False)
+    assert thinness_brute([(1, 0), (1, 4), (1, 9)]) == ("not_thin", None, True)
+    assert thinness_brute([(0, 0), (1, 0), (1, 6)]) == ("not_thin", None, False)
     m = _Mat(2, 1, 1, 1)
     assert mat_identity(m) == _Mat(1, 0, 0, 1)
     assert mat_product(_Mat(1, 2, 3, 4), _Mat(5, 6, 7, 8)) == _Mat(19, 22, 43, 50)
@@ -318,6 +403,10 @@ def _selftest() -> None:
     assert mat_dist(m, _Mat(2, 1, 1.5, 1 - 2j)) == 2
     assert binary_power_reference(m, 3) == _Mat(13, 8, 8, 5)
     assert binary_power_reference(m, -2) == _Mat(2, -3, -3, 5)
+    # trefoil: 5/1 and 7/1 are lens spaces, 6/1 is L(3, 2) # RP^3, 4/1 and 8/1 are neither
+    assert [nonabelian_surgery_rep(3, 2, p, 1) for p in (4, 5, 6, 7, 8)] == [
+        True, False, False, False, True
+    ]
     print("oracle selftest passed")
 
 

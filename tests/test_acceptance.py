@@ -1,4 +1,4 @@
-"""Acceptance gate: ten externally stated criteria, each with an exact
+"""Acceptance gate: eleven externally stated criteria, each with an exact
 check and a wall-clock budget.  Every test prints one PASS/FAIL line
 (run with -s to see them live)."""
 
@@ -30,7 +30,14 @@ from knotpoly.satellite import (
     torus_satellite_obstruction,
     winding_violation,
 )
-from knotpoly.torusknot import TorusKnotSpec, alexander, enhanced_apoly, genus, leading_form
+from knotpoly.torusknot import (
+    TorusKnotSpec,
+    abelian_slope_family,
+    alexander,
+    enhanced_apoly,
+    genus,
+    leading_form,
+)
 
 import oracles
 
@@ -252,3 +259,40 @@ def test_criterion_10_case1_scalar_identity():
         if abs(z - 1) >= 1e-9:
             failures.append((g.p, g.q, g.w, g.d, abs(z - 1)))
     finish(10, "diagonal-case scalar closes to 1 from polar data", failures, start, 5.0)
+
+
+def test_criterion_11_abelian_surgeries():
+    # p/q surgery on T(a, b) has a non-abelian SL(2,C) rep exactly when it is
+    # not a lens space, |p - q*ab| != 1 (Moser), and not the reducible slope
+    # ab of a two-strand knot, L(a, 2) # RP^3 with every rep abelian
+    def nonabelian(k, p, q):
+        ab = k.a * k.b
+        return abs(p - q * ab) != 1 and not (k.b == 2 and p == q * ab)
+
+    start = time.perf_counter()
+    failures = []
+    knots = [TorusKnotSpec(a, b) for a, b in coprime_pairs(3, 20) if a * b <= 40]
+    slopes = [(p, q) for q in range(1, 9) for p in range(-60, 61) if math.gcd(p, q) == 1]
+    for k in knots:
+        mirror = TorusKnotSpec(-k.a, k.b)
+        for p, q in slopes:
+            found = oracles.nonabelian_surgery_rep(k.a, k.b, p, q)
+            # p/q surgery on T(a, b) is -p/q surgery on its mirror T(-a, b)
+            if nonabelian(k, p, q) != found or nonabelian(mirror, -p, q) != found:
+                failures.append((k.a, k.b, p, q, found))
+        for knot in (k, mirror):
+            family, limit = abelian_slope_family(knot, 8)
+            if limit != knot.a * knot.b:
+                failures.append((knot.a, knot.b, "limit", limit))
+            for s in family:
+                p = s.numerator if knot.a > 0 else -s.numerator
+                if oracles.nonabelian_surgery_rep(k.a, k.b, p, s.denominator):
+                    failures.append((knot.a, knot.b, str(s), "family slope is not abelian"))
+    finish(
+        11,
+        f"non-abelian surgeries on {len(knots)} torus knots and mirrors, "
+        f"{len(knots) * len(slopes)} slopes each side; family slopes abelian",
+        failures,
+        start,
+        5.0,
+    )

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotpoly.apolygon import (
@@ -30,6 +30,16 @@ bipoly_dicts = st.dictionaries(
 )
 bipolys = bipoly_dicts.map(BiPoly)
 nonzero_bipolys = bipolys.filter(bool)
+# supports on one line, vertical ones (a zero L-step) included
+collinear_bipolys = st.builds(
+    lambda origin, step, ks, c: BiPoly(
+        {(origin[0] + k * step[0], origin[1] + k * step[1]): c for k in ks}
+    ),
+    st.tuples(st.integers(-3, 3), st.integers(-6, 6)),
+    st.tuples(st.integers(0, 2), st.integers(-3, 3)),
+    st.sets(st.integers(-3, 3), min_size=1, max_size=5),
+    st.sampled_from([1, -1, 2]),
+)
 
 
 class TestBiPoly:
@@ -90,13 +100,13 @@ class TestNewtonPolygon:
         f = BiPoly({(0, 0): 1, (1, 0): 1, (1, 6): 1, (2, 6): 1, (1, 3): 5})
         npg = newton_polygon(f)
         assert npg.hull_vertices == ((0, 0), (1, 0), (2, 6), (1, 6))
-        assert set(npg.edge_slopes) == {Fraction(0), Fraction(6)}
+        assert npg.edge_slopes == (Fraction(0), Fraction(6))
 
     def test_square_with_vertical_edges(self):
         f = BiPoly({(0, 0): 1, (0, 4): 1, (1, 0): 2, (1, 4): -1})
         npg = newton_polygon(f)
         assert npg.hull_vertices == ((0, 0), (1, 0), (1, 4), (0, 4))
-        assert set(npg.edge_slopes) == {Fraction(0), INFINITE_SLOPE}
+        assert npg.edge_slopes == (Fraction(0), INFINITE_SLOPE)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -124,9 +134,10 @@ class TestNewtonPolygon:
         )
         for (l1, m1), (l2, m2) in edges:
             expected.add(INFINITE_SLOPE if l1 == l2 else Fraction(m2 - m1, l2 - l1))
-        assert set(npg.edge_slopes) == expected
-        finite = [s for s in npg.edge_slopes if s != INFINITE_SLOPE]
-        assert finite == sorted(finite)
+        # each slope once, finite ones ascending, INFINITE_SLOPE only last
+        finite = sorted(s for s in expected if s != INFINITE_SLOPE)
+        vertical = (INFINITE_SLOPE,) if INFINITE_SLOPE in expected else ()
+        assert npg.edge_slopes == tuple(finite) + vertical
 
 
 class TestThinness:
@@ -154,6 +165,16 @@ class TestThinness:
         f = BiPoly({(0, 0): 1, (1, 0): 1, (1, 6): 1})
         r = thinness(f)
         assert r.kind == "not_thin" and not r.infinite_slope
+
+    @given(st.one_of(nonzero_bipolys, collinear_bipolys))
+    @example(BiPoly({(1, -2): 1, (1, 0): 3, (1, 5): -1}))
+    @example(BiPoly({(0, 0): 1, (1, 2): 1, (2, 4): 1, (3, 6): -2}))
+    @settings(max_examples=300)
+    def test_matches_brute_oracle(self, f):
+        r = thinness(f)
+        kind, slope, infinite_slope = oracles.thinness_brute(f.support())
+        assert (r.kind, r.slope, r.infinite_slope) == (kind, slope, infinite_slope)
+        assert type(r.slope) is type(slope)
 
     def test_sweep_slope_equals_product(self):
         for p in range(3, 15):
@@ -260,6 +281,7 @@ class TestDetection:
         # (|a|-1)(b-1) separates every coprime factorization pair
         f = BiPoly.parse("-1 + M^420*L^2")
         r = detect_torus_from_apoly(f)
+        assert len(r.candidates) == 6
         degrees = {2 * genus(k) for k in r.candidates}
         assert len(degrees) == len(r.candidates)
 
