@@ -18,16 +18,30 @@ import re
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import _Frozen
-from .laurent import split_terms
+from .laurent import join_terms, parse_terms
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 INFINITE_SLOPE = math.inf
 
+# a sign, then a coefficient, a power of M and a power of L, at least one
+# of them, in that order: "*" only joins a factor to a variable after it
 _TERM = re.compile(
-    r"([+-]?)(?:(\d+)\*?)?(?:M(?:\^(-?\d+))?\*?)?(?:L(?:\^(-?\d+))?)?\Z"
+    r"([+-]?)(?:(\d+)(?:\*(?=[ML]))?)?"
+    r"(?:(M)(?:\^(-?\d+))?(?:\*(?=L))?)?(?:(L)(?:\^(-?\d+))?)?\Z"
 )
+
+
+def _term(chunk: str) -> tuple[tuple[int, int], int]:
+    m = _TERM.match(chunk)
+    if not m or not (m[2] or m[3] or m[5]):
+        raise ValueError(f"cannot parse term {chunk!r}")
+    sign, coeff, has_m, m_exp, has_l, l_exp = m.groups()
+    c = int(coeff) if coeff else 1
+    me = (int(m_exp) if m_exp else 1) if has_m else 0
+    le = (int(l_exp) if l_exp else 1) if has_l else 0
+    return (le, me), -c if sign == "-" else c
 
 
 class BiPoly(_Frozen):
@@ -58,24 +72,7 @@ class BiPoly(_Frozen):
     @classmethod
     def parse(cls, text: str) -> "BiPoly":
         """Parse terms like ``-1 + M^24*L^2`` (whitespace-insensitive)."""
-        acc: dict[tuple[int, int], int] = {}
-        for chunk in split_terms(text):
-            m = _TERM.match(chunk)
-            if not m or chunk in ("", "+", "-") or chunk.endswith("*"):
-                raise ValueError(f"cannot parse term {chunk!r}")
-            sign, coeff, m_exp, l_exp = m.groups()
-            has_m = "M" in chunk
-            has_l = "L" in chunk
-            if coeff is None and not has_m and not has_l:
-                raise ValueError(f"cannot parse term {chunk!r}")
-            c = int(coeff) if coeff else 1
-            if sign == "-":
-                c = -c
-            me = (int(m_exp) if m_exp is not None else 1) if has_m else 0
-            le = (int(l_exp) if l_exp is not None else 1) if has_l else 0
-            key = (le, me)
-            acc[key] = acc.get(key, 0) + c
-        return cls(acc)
+        return cls(parse_terms(text, _term))
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self._terms)
@@ -94,8 +91,6 @@ class BiPoly(_Frozen):
         return hash(tuple(sorted(self._terms.items())))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for key in sorted(self._terms):
             le, me = key
@@ -108,12 +103,8 @@ class BiPoly(_Frozen):
                 factors.append("L" if le == 1 else f"L^{le}")
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+            parts.append(("- " if c < 0 else "+ ") + "*".join(factors))
+        return join_terms(parts)
 
     def __repr__(self) -> str:
         return f"BiPoly({dict(sorted(self._terms.items()))!r})"

@@ -26,6 +26,7 @@ internal invariant failure (PredictionMismatch, with the same
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -187,15 +188,19 @@ def sweep_obstruct(a_max: int, companion_max: int):
     """Check every torus-pattern satellite with w^2 | ab in range."""
     from . import satellite, torusknot
 
-    specs = [torusknot.TorusKnotSpec(p, q) for p, q in _coprime_pairs(companion_max)]
-    # the companions' terms together get alexander's limit, checked before
-    # any is built; only each genus is kept, so the limit bounds build time
-    terms = sum(map(torusknot.term_count, specs))
-    if terms > torusknot.MAX_TERMS:
-        raise ValueError(
-            f"companions up to {companion_max} have {terms} nonzero Alexander terms, "
-            f"more than the limit {torusknot.MAX_TERMS}"
-        )
+    specs, terms = [], 0
+    # the companions' terms together get alexander's limit, summed bound by
+    # bound before any is built, so a refusal stops at the first bound past
+    # it; only each genus is kept, so the limit bounds build time
+    for big, pairs in itertools.groupby(_coprime_pairs(companion_max), key=lambda pq: pq[0]):
+        new = [torusknot.TorusKnotSpec(p, q) for p, q in pairs]
+        specs += new
+        terms += sum(map(torusknot.term_count, new))
+        if terms > torusknot.MAX_TERMS:
+            raise ValueError(
+                f"companions up to {big} have {terms} nonzero Alexander terms, "
+                f"more than the limit {torusknot.MAX_TERMS}"
+            )
     # each companion is checked once here, not once per record
     companions = [(str(k), satellite.check_companion(torusknot.alexander(k))) for k in specs]
     total = 0
@@ -204,7 +209,10 @@ def sweep_obstruct(a_max: int, companion_max: int):
             if (a * b) % (w * w):
                 continue
             for label, checked in companions:
-                check = satellite.torus_satellite_obstruction(a, b, w, checked)
+                # the loop meets torus_satellite_obstruction's hypotheses
+                # (a > b >= 2 coprime, w >= 1, w^2 | ab), so each record
+                # checks its pattern once, in winding_violation
+                check = satellite.winding_violation(a, b, w, checked)
                 _echo(_dumps(_obstruction_record(a, b, w, label, check)))
                 total += 1
     # every record is obstructed: w^2 | ab leaves w mod b nonzero

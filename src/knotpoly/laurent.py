@@ -14,7 +14,7 @@ everything the printer emits.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import _Frozen
 
@@ -28,29 +28,45 @@ class NotSymmetrizable(ValueError):
     with positive value at t = 1."""
 
 
-_COEFF_TERM = re.compile(r"([+-]?)(\d+)(?:\*?t(?:\^(-?\d+))?)?\Z")
-_BARE_TERM = re.compile(r"([+-]?)t(?:\^(-?\d+))?\Z")
+# a sign, then a coefficient, a power of t, or both: "*" only joins the two
+_TERM = re.compile(r"([+-]?)(?:(\d+)(?:\*(?=t))?)?(t(?:\^(-?\d+))?)?\Z")
+# a sign starts a term unless it follows "^" (a negative exponent)
+_TERM_START = re.compile(r"(?<=[^^])(?=[+-])")
 
 
-def split_terms(text: str) -> list[str]:
-    """Signed term chunks of a polynomial's text, whitespace removed.
-
-    A sign starts a new chunk unless it follows ``^`` (a negative
-    exponent); the text ``0`` has no terms.
-    """
+def parse_terms(text: str, term: Callable[[str], tuple]) -> dict:
+    """Key -> coefficient map of a polynomial's text, whitespace-insensitive:
+    term reads one signed term as (key, coefficient), and equal keys add.
+    The text ``0`` has no terms."""
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ValueError("empty polynomial text")
+    acc: dict = {}
     if s == "0":
-        return []
-    chunks = []
-    start = 0
-    for i in range(1, len(s)):
-        if s[i] in "+-" and s[i - 1] != "^":
-            chunks.append(s[start:i])
-            start = i
-    chunks.append(s[start:])
-    return chunks
+        return acc
+    for chunk in _TERM_START.split(s):
+        key, c = term(chunk)
+        acc[key] = acc.get(key, 0) + c
+    return acc
+
+
+def join_terms(parts: list[str]) -> str:
+    """The printed polynomial from its "+ body" / "- body" terms in print
+    order: the first keeps only a minus sign, and no terms print as 0."""
+    text = " ".join(parts)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _term(chunk: str) -> tuple[int, int]:
+    m = _TERM.match(chunk)
+    if not m or not (m[2] or m[3]):
+        raise ValueError(f"cannot parse polynomial term {chunk!r}")
+    sign, coeff, var, exp = m.groups()
+    c = int(coeff) if coeff else 1
+    e = (int(exp) if exp else 1) if var else 0
+    return e, -c if sign == "-" else c
 
 
 class LaurentPoly(_Frozen):
@@ -73,12 +89,6 @@ class LaurentPoly(_Frozen):
                 clean.pop(e, None)
         object.__setattr__(self, "_terms", clean)
 
-    # ------- Constructors -------
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
         """Parse the printed form back into a polynomial.
@@ -86,24 +96,7 @@ class LaurentPoly(_Frozen):
         >>> LaurentPoly.parse("t - 1 + t^-1") == LaurentPoly({1: 1, 0: -1, -1: 1})
         True
         """
-        acc: dict[int, int] = {}
-        for chunk in split_terms(text):
-            m = _COEFF_TERM.match(chunk)
-            if m:
-                sign, coeff, exp = m.groups()
-                c = int(coeff)
-                e = 0 if "t" not in chunk else (1 if exp is None else int(exp))
-            else:
-                m = _BARE_TERM.match(chunk)
-                if not m:
-                    raise ValueError(f"cannot parse polynomial term {chunk!r}")
-                sign, exp = m.groups()
-                c = 1
-                e = 1 if exp is None else int(exp)
-            if sign == "-":
-                c = -c
-            acc[e] = acc.get(e, 0) + c
-        return cls(acc)
+        return cls(parse_terms(text, _term))
 
     # ------- Views -------
 
@@ -261,8 +254,6 @@ class LaurentPoly(_Frozen):
     # ------- Printing -------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for e, c in self.items():
             mag = abs(c)
@@ -271,11 +262,8 @@ class LaurentPoly(_Frozen):
             else:
                 var = "t" if e == 1 else f"t^{e}"
                 body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+            parts.append(("- " if c < 0 else "+ ") + body)
+        return join_terms(parts)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"
@@ -294,6 +282,3 @@ def _coerce(value) -> LaurentPoly | None:
     if isinstance(value, int) and not isinstance(value, bool):
         return _raw({0: value} if value else {})
     return None
-
-
-ONE = LaurentPoly({0: 1})

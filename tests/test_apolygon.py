@@ -12,6 +12,7 @@ from knotpoly.apolygon import (
     INFINITE_SLOPE,
     MAX_FACTORIZED,
     BiPoly,
+    _is_prime_power,
     coprime_factorizations,
     detect_torus_from_apoly,
     detect_with_degree,
@@ -313,3 +314,20 @@ class TestDetectability:
         assert not detectability(k)
         k = TorusKnotSpec(27, 4)
         assert detectability(k)
+
+    def test_prime_power_matches_oracle(self):
+        brute = oracles.is_prime_power_brute
+        assert [n for n in range(3000) if _is_prime_power(n) != brute(n)] == []
+
+    def test_matches_prime_power_oracle(self):
+        brute = oracles.is_prime_power_brute
+        checked = 0
+        for p in range(3, 80):
+            for q in range(2, p):
+                if math.gcd(p, q) != 1:
+                    continue
+                for a in (p, -p):
+                    expected = q == 2 or (brute(p) and brute(q))
+                    assert detectability(TorusKnotSpec(a, q)) == expected, (a, q)
+                    checked += 1
+        assert checked > 3000

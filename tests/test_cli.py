@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output bytes, exit codes, JSON shapes,
 environment-variable defaults, and run-to-run determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -307,16 +308,34 @@ class TestSweeps:
 
     def test_obstruct_sweep_refuses_companions_past_max_terms(self, run):
         # companions up to 78 have 944,986 terms in all, up to 79 1,027,145;
-        # the refusal comes before any companion polynomial is built
-        r = run(["sweep", "obstruct", "--a-max", "3", "--companion-max", "79"])
-        assert r.code == 1
-        assert record(r) == {
-            "error": {
-                "kind": "ValueError",
-                "detail": "companions up to 79 have 1027145 nonzero Alexander terms, "
-                "more than the limit 1000000",
+        # the refusal comes before any companion polynomial is built, and
+        # the terms are summed bound by bound, so every larger bound is
+        # refused at 79, in the time and memory of the first 79 bounds
+        for companion_max in ("79", "80", "1000000000"):
+            r = run(["sweep", "obstruct", "--a-max", "3", "--companion-max", companion_max])
+            assert r.code == 1
+            assert record(r) == {
+                "error": {
+                    "kind": "ValueError",
+                    "detail": "companions up to 79 have 1027145 nonzero Alexander terms, "
+                    "more than the limit 1000000",
+                }
             }
-        }
+
+    def test_obstruct_sweep_checks_each_pattern_once_per_record(self, run, monkeypatch):
+        calls = []
+        real = satellite._check_pattern
+
+        def counted(a, b):
+            calls.append((a, b))
+            real(a, b)
+
+        monkeypatch.setattr(satellite, "_check_pattern", counted)
+        r = run(["sweep", "obstruct", "--a-max", "8", "--companion-max", "5"])
+        assert r.code == 0
+        recs = [json.loads(x) for x in lines(r)]
+        assert calls == [(rec["a"], rec["b"]) for rec in recs[:-1]]
+        assert len(calls) == recs[-1]["summary"]["total"] > 0
 
     def test_glue_sweep(self, run):
         r = run(["sweep", "glue", "--per-case", "5", "--seed", "3"])
@@ -698,6 +717,23 @@ class TestModuleEntry:
         assert r.returncode == 0, err
         loaded = out.strip().splitlines()[-1]
         assert loaded == str([False, False, args[0] == "newton"])
+
+    def test_package_imports_only_the_standard_library(self):
+        # knotpoly runs on a bare Python: every absolute import in the
+        # package names a standard library module or the package itself
+        allowed = sys.stdlib_module_names | {"knotpoly"}
+        paths = sorted(Path(knotpoly.__file__).parent.glob("*.py"))
+        assert len(paths) >= 8
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] in allowed, (path.name, name)
 
     def test_python_m_keeps_exit_codes(self):
         r = fresh(["alexander", "T(4,2)"])
