@@ -9,10 +9,20 @@ representations.
 """
 
 import importlib
+import re
+from typing import Callable
+
+# A name lives here when two submodules need it and neither should load the
+# other for it: every submodule import loads the package first.
+CASE_KINDS = ("diagonal", "jordan_plus", "jordan_minus")  # repglue's, and the CLI's choices
+DEFAULT_TOL = 1e-9
 
 
-# The value types' base lives in the package, which every submodule import
-# loads first, so a module needs no other submodule for it.
+class PredictionMismatch(RuntimeError):
+    """A coefficient the residue analysis predicts was absent from the
+    actual product; indicates a bug, never expected on valid inputs."""
+
+
 class _Frozen:
     """Base of the immutable value types: a subclass lists its fields in __slots__ and
     sets each once in __init__ with object.__setattr__.  Equality (same class, equal
@@ -45,7 +55,37 @@ class _Frozen:
         return type(self), self._values()
 
 
-# Each public name, by the submodule that defines it.  The submodules are
+# The text format of LaurentPoly and BiPoly: a sign starts a term unless it
+# follows "^" (a negative exponent)
+_TERM_START = re.compile(r"(?<=[^^])(?=[+-])")
+
+
+def parse_terms(text: str, term: Callable[[str], tuple]) -> dict:
+    """Key -> coefficient map of a polynomial's text, whitespace-insensitive:
+    term reads one signed term as (key, coefficient), and equal keys add.
+    The text ``0`` has no terms."""
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ValueError("empty polynomial text")
+    acc: dict = {}
+    if s == "0":
+        return acc
+    for chunk in _TERM_START.split(s):
+        key, c = term(chunk)
+        acc[key] = acc.get(key, 0) + c
+    return acc
+
+
+def join_terms(parts: list[str]) -> str:
+    """The printed polynomial from its "+ body" / "- body" terms in print
+    order: the first keeps only a minus sign, and no terms print as 0."""
+    text = " ".join(parts)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+# Each public name, by the submodule that provides it.  The submodules are
 # imported on first access (PEP 562), so importing the package, or the
 # CLI for one command, loads only what is used.
 _EXPORTS = {

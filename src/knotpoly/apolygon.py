@@ -17,8 +17,7 @@ import math
 import re
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from . import _Frozen
-from .laurent import join_terms, parse_terms
+from . import _Frozen, join_terms, parse_terms
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -76,9 +75,6 @@ class BiPoly(_Frozen):
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self._terms)
-
-    def coefficient(self, l_exp: int, m_exp: int) -> int:
-        return self._terms.get((l_exp, m_exp), 0)
 
     def support(self) -> list[tuple[int, int]]:
         """Lattice points (l_exp, m_exp) with nonzero coefficient, sorted."""
@@ -253,7 +249,7 @@ def template_terms(l_degree: int, mirrored: bool, m_exp: int) -> dict:
 def detect_torus_from_apoly(f: BiPoly) -> DetectionResult:
     """Match a BiPoly against the enhanced A-polynomial templates of torus
     knots (and the unknot's trivial polynomial)."""
-    from .torusknot import TorusKnotSpec  # deferred: torusknot imports this module
+    from .torusknot import TorusKnotSpec  # deferred: newton loads neither torusknot nor laurent
 
     terms = f.as_dict()
     if terms == {(0, 0): 1}:

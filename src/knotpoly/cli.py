@@ -34,6 +34,8 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
+from . import CASE_KINDS, DEFAULT_TOL, PredictionMismatch  # the package base loads no submodule
+
 if TYPE_CHECKING:
     from .laurent import LaurentPoly
     from .satellite import WindingCheck
@@ -41,12 +43,7 @@ if TYPE_CHECKING:
 
 FORMAT_ENV = "KNOTPOLY_FORMAT"
 
-# Each command imports the modules it uses, so a query starts without the
-# rest.  The glue options are declared with repglue.CASE_KINDS and
-# repglue.DEFAULT_TOL copied here (a test keeps them equal), so that
-# declaring them does not import repglue.
-_GLUE_CASES = ("diagonal", "jordan_plus", "jordan_minus")
-_GLUE_TOL = 1e-9
+# Each command imports the modules it uses, so a query starts without the rest.
 
 # json.dumps builds a new encoder on every call; one with the same
 # settings is built once here and gives the same bytes.
@@ -256,7 +253,7 @@ def glue_verify(count: int, seed: int, tolerance: float, case_kind: str = "all")
 
     from . import repglue
 
-    kinds = _GLUE_CASES if case_kind == "all" else (case_kind,)
+    kinds = CASE_KINDS if case_kind == "all" else (case_kind,)
     rng = Random(seed)
     failures = 0
     for kind in kinds:
@@ -326,16 +323,9 @@ class _Main(SimpleNamespace):
             try:
                 # looked up per call: the benchmark's tracer wraps it
                 code = entry.callback(**vars(ns)) or 0
-            except (ValueError, ArithmeticError, RuntimeError) as exc:
-                if isinstance(exc, RuntimeError):
-                    # PredictionMismatch is the one RuntimeError reported; importing it
-                    # here keeps satellite out of the commands that never load it
-                    from .satellite import PredictionMismatch
-
-                    if not isinstance(exc, PredictionMismatch):
-                        raise
+            except (ValueError, ArithmeticError, PredictionMismatch) as exc:
                 _echo(_dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}}))
-                code = 3 if isinstance(exc, RuntimeError) else 1
+                code = 3 if isinstance(exc, PredictionMismatch) else 1
             sys.stdout.flush()  # a closed pipe met by the last buffered write is caught here too
         except BrokenPipeError:
             # the reader is gone: stdout goes to devnull, so the flush at exit stays quiet
@@ -364,7 +354,7 @@ _INT = {"type": int, **_REQUIRED}
 _MIN_3 = _checked(int, lambda n: n >= 3, ">= 3")
 _COUNT = {"type": _checked(int, lambda n: n >= 1, ">= 1"), "default": 200}
 _GLUE = {"--seed": {"type": int, "default": 7},  # a NaN --tolerance fails x >= 0
-         "--tolerance": {"type": _checked(float, lambda x: x >= 0, ">= 0"), "default": _GLUE_TOL}}
+         "--tolerance": {"type": _checked(float, lambda x: x >= 0, ">= 0"), "default": DEFAULT_TOL}}
 _SWEEPS = {
     "obstruct": _Leaf(sweep_obstruct, {"--a-max": {"type": _MIN_3, "default": 20},
                                        "--companion-max": {"type": _MIN_3, "default": 10}}),
@@ -372,7 +362,7 @@ _SWEEPS = {
     "glue": _Leaf(glue_verify, {"--per-case": {**_COUNT, "dest": "count", "metavar": "PER_CASE"},
                                 **_GLUE}),
 }
-_CASE = {"dest": "case_kind", "choices": (*_GLUE_CASES, "all"), "default": "all"}
+_CASE = {"dest": "case_kind", "choices": (*CASE_KINDS, "all"), "default": "all"}
 main = _Main(name="knotpoly", doc=__doc__.partition("\n")[0], commands={
     "alexander": _Leaf(alexander, {"knot": {}, **_FORMAT}),
     "apoly": _Leaf(apoly, {"knot": {}, **_FORMAT}),

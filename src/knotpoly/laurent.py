@@ -14,9 +14,9 @@ everything the printer emits.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from . import _Frozen
+from . import _Frozen, join_terms, parse_terms
 
 
 class NonExactDivision(ValueError):
@@ -30,33 +30,6 @@ class NotSymmetrizable(ValueError):
 
 # a sign, then a coefficient, a power of t, or both: "*" only joins the two
 _TERM = re.compile(r"([+-]?)(?:(\d+)(?:\*(?=t))?)?(t(?:\^(-?\d+))?)?\Z")
-# a sign starts a term unless it follows "^" (a negative exponent)
-_TERM_START = re.compile(r"(?<=[^^])(?=[+-])")
-
-
-def parse_terms(text: str, term: Callable[[str], tuple]) -> dict:
-    """Key -> coefficient map of a polynomial's text, whitespace-insensitive:
-    term reads one signed term as (key, coefficient), and equal keys add.
-    The text ``0`` has no terms."""
-    s = re.sub(r"\s+", "", text)
-    if not s:
-        raise ValueError("empty polynomial text")
-    acc: dict = {}
-    if s == "0":
-        return acc
-    for chunk in _TERM_START.split(s):
-        key, c = term(chunk)
-        acc[key] = acc.get(key, 0) + c
-    return acc
-
-
-def join_terms(parts: list[str]) -> str:
-    """The printed polynomial from its "+ body" / "- body" terms in print
-    order: the first keeps only a minus sign, and no terms print as 0."""
-    text = " ".join(parts)
-    if not text:
-        return "0"
-    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _term(chunk: str) -> tuple[int, int]:

@@ -31,9 +31,8 @@ import cmath
 import math
 from random import Random
 
-from . import _Frozen
+from . import CASE_KINDS, DEFAULT_TOL, _Frozen
 
-DEFAULT_TOL = 1e-9
 _ANGLE_TOL = 1e-6
 # entries (a, b, c, d) of the identity matrix
 _IDENTITY = (1, 0, 0, 1)
@@ -341,8 +340,6 @@ def verify_extension(
 
 
 # ------- Randomized instance samplers -------
-
-CASE_KINDS = ("diagonal", "jordan_plus", "jordan_minus")
 
 
 def sample_instance(kind: str, rng: Random) -> GlueInstance:

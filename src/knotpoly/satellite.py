@@ -18,15 +18,10 @@ from __future__ import annotations
 
 import math
 
-from . import _Frozen
+from . import PredictionMismatch, _Frozen
 from .laurent import LaurentPoly
 # alexander is unused: perfbench's binding self-test asserts satellite.alexander is torusknot's
 from .torusknot import MAX_TERMS, _closed_form, _form_coefficient, alexander
-
-
-class PredictionMismatch(RuntimeError):
-    """A coefficient the residue analysis predicts was absent from the
-    actual product; indicates a bug, never expected on valid inputs."""
 
 
 class SatelliteSpec(_Frozen):
@@ -159,6 +154,7 @@ class CheckedCompanion(_Frozen):
 def check_companion(companion: LaurentPoly) -> CheckedCompanion:
     """Check that a companion polynomial is admissible with genus >= 1,
     raising ValueError otherwise, and return it as a CheckedCompanion."""
+    _require_symmetrized(companion, "companion polynomial")
     report = lspace_admissible(companion)
     if not report.ok:
         raise ValueError(

@@ -211,6 +211,21 @@ class TestObstruct:
         assert r.code == 1
         assert record(r)["error"]["kind"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "a,companion,detail",
+        [
+            ("9", "0", "companion polynomial must be nonzero"),
+            ("9", "-1", "companion polynomial must be positive at t = 1"),
+            ("9", "t^2", "companion polynomial must be symmetrized (equal to its mirror)"),
+            # the pattern is checked before the companion
+            ("7", "0", "w^2 = 9 does not divide ab = 14"),
+        ],
+    )
+    def test_companion_errors_name_the_companion(self, run, a, companion, detail):
+        r = run(["obstruct", "--a", a, "--b", "2", "--w", "3", f"--companion={companion}"])
+        assert r.code == 1
+        assert record(r) == {"error": {"kind": "ValueError", "detail": detail}}
+
     def test_same_sign_gap_past_max_terms_is_refused(self, run):
         # a = 5^23, b = 2^53, w = 2^26 5^11 (w^2 | ab): the r - 2 exponents
         # between the same-sign witnesses are far more than MAX_TERMS, so the
@@ -629,17 +644,21 @@ class TestModuleEntry:
         with pytest.raises(AttributeError):
             knotpoly.no_such_name
 
-    def test_glue_option_defaults_match_repglue(self):
-        assert cli._GLUE_CASES == repglue.CASE_KINDS
-        assert cli._GLUE_TOL == repglue.DEFAULT_TOL
-
     @pytest.mark.parametrize(
         "args,loaded",
         [
             ([], set()),
             (["alexander", "T(5,2)"], {"laurent", "torusknot"}),
-            (["newton", "1 + M*L"], {"laurent", "apolygon"}),
+            (["newton", "1 + M*L"], {"apolygon"}),
             (["glue-verify", "--count", "1"], {"repglue"}),
+            (["apoly", "T(5,2)"], {"apolygon", "laurent", "torusknot"}),
+            (["detect", "1 - M^10*L"], {"apolygon", "laurent", "torusknot"}),
+            (["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(3,2)"],
+             {"laurent", "satellite", "torusknot"}),
+            (["sweep", "obstruct", "--a-max", "5", "--companion-max", "3"],
+             {"laurent", "satellite", "torusknot"}),
+            (["sweep", "thinness", "--max", "4"], {"apolygon", "laurent", "torusknot"}),
+            (["sweep", "glue", "--per-case", "1"], {"repglue"}),
         ],
     )
     def test_commands_import_only_what_they_use(self, args, loaded):
