@@ -10,7 +10,7 @@ representations.
 
 import importlib
 import re
-from typing import Callable
+from collections.abc import Callable
 
 # A name lives here when two submodules need it and neither should load the
 # other for it: every submodule import loads the package first.
@@ -121,12 +121,10 @@ _EXPORTS = {
         "AdmissibilityReport",
         "CheckedCompanion",
         "PredictionMismatch",
-        "SatelliteSpec",
         "WindingCheck",
         "check_companion",
         "lspace_admissible",
         "satellite_alexander",
-        "satellite_genus",
         "torus_satellite_obstruction",
         "winding_violation",
     ),

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from . import _Frozen, join_terms, parse_terms
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
 if TYPE_CHECKING:
     from fractions import Fraction
 

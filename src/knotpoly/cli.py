@@ -32,10 +32,10 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import CASE_KINDS, DEFAULT_TOL, PredictionMismatch  # the package base loads no submodule
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
 if TYPE_CHECKING:
     from .laurent import LaurentPoly
     from .satellite import WindingCheck

@@ -14,7 +14,7 @@ everything the printer emits.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from . import _Frozen, join_terms, parse_terms
 

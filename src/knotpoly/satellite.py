@@ -2,9 +2,7 @@
 keep torus-pattern satellites from admitting instanton L-space surgeries.
 
 The polynomial of a satellite with pattern P, companion C and winding
-number w is pattern(t) * companion(t^w); its genus is the pattern genus
-plus w times the companion genus (fibered convention: genus = top
-exponent of the symmetrized polynomial).
+number w is pattern(t) * companion(t^w) (Seifert, Quart. J. Math. 1950).
 
 ``lspace_admissible`` scans a symmetrized polynomial top-down against the
 three necessary conditions satisfied by every knot with an instanton
@@ -24,33 +22,6 @@ from .laurent import LaurentPoly
 from .torusknot import MAX_TERMS, _closed_form, _form_coefficient, alexander
 
 
-class SatelliteSpec(_Frozen):
-    """Pattern/companion data for a satellite knot.
-
-    pattern_genus and companion_genus are read-only: each is the top
-    exponent of its symmetrized polynomial.
-    """
-
-    __slots__ = ("pattern_poly", "companion_poly", "winding")
-
-    def __init__(self, pattern_poly: LaurentPoly, companion_poly: LaurentPoly, winding: int):
-        if not isinstance(winding, int) or isinstance(winding, bool) or winding < 1:
-            raise ValueError(f"winding number must be an integer >= 1, got {winding!r}")
-        _require_symmetrized(pattern_poly, "pattern polynomial")
-        _require_symmetrized(companion_poly, "companion polynomial")
-        object.__setattr__(self, "pattern_poly", pattern_poly)
-        object.__setattr__(self, "companion_poly", companion_poly)
-        object.__setattr__(self, "winding", winding)
-
-    @property
-    def pattern_genus(self) -> int:
-        return self.pattern_poly.span()[1]
-
-    @property
-    def companion_genus(self) -> int:
-        return self.companion_poly.span()[1]
-
-
 def _require_symmetrized(poly: LaurentPoly, label: str) -> None:
     if not poly:
         raise ValueError(f"{label} must be nonzero")
@@ -61,14 +32,16 @@ def _require_symmetrized(poly: LaurentPoly, label: str) -> None:
         raise ValueError(f"{label} must be positive at t = 1")
 
 
-def satellite_alexander(spec: SatelliteSpec) -> LaurentPoly:
+def satellite_alexander(pattern: LaurentPoly, companion: LaurentPoly, w: int) -> LaurentPoly:
     """pattern(t) * companion(t^w): a product of symmetrized polynomials
-    positive at t = 1, so itself symmetrized."""
-    return spec.pattern_poly * spec.companion_poly.dilate(spec.winding)
-
-
-def satellite_genus(spec: SatelliteSpec) -> int:
-    return spec.pattern_genus + spec.winding * spec.companion_genus
+    positive at t = 1, so itself symmetrized.  Raises ValueError unless
+    w is an integer >= 1 and both polynomials are symmetrized, nonzero and
+    positive at t = 1, checked in that order."""
+    if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+        raise ValueError(f"winding number must be an integer >= 1, got {w!r}")
+    _require_symmetrized(pattern, "pattern polynomial")
+    _require_symmetrized(companion, "companion polynomial")
+    return pattern * companion.dilate(w)
 
 
 # ------- L-space coefficient test -------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING
 
 from . import _Frozen
 from .laurent import LaurentPoly, _raw
@@ -20,6 +19,7 @@ from .laurent import LaurentPoly, _raw
 # T(100000,3) has 133,333 terms; T(750001,3), 1,000,001.
 MAX_TERMS = 1_000_000
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -150,9 +150,16 @@ def leading_form(k: TorusKnotSpec) -> LaurentPoly:
 
 
 def enhanced_apoly(k: TorusKnotSpec) -> BiPoly:
-    """Enhanced A-polynomial template: degree one in L for two-strand
-    knots, degree two otherwise, with the mirror moving the M-power to the
-    other monomial."""
+    """Enhanced A-polynomial of T(a, b), from SL(2,C) reps: an irreducible
+    one sends the central x^a of <x, y | x^a = y^b> to eps*I, eps = (-1)^k
+    for x's eigenvalue angle pi*k/|a|, so the meridian and longitude
+    eigenvalues M, L satisfy L*M^(|a|b) = eps.  b = 2 meets only eps = -1,
+    giving 1 + L*M^(2|a|); b >= 3 meets both signs, giving
+    1 - L^2*M^(2|a|b).  The mirror (a < 0) takes L to 1/L, L-powers cleared.
+
+    >>> print(enhanced_apoly(TorusKnotSpec(3, 2)), enhanced_apoly(TorusKnotSpec(-5, 3)), sep="; ")
+    1 + M^6*L; M^30 - L^2
+    """
     from .apolygon import BiPoly, template_terms
 
     l_degree = 1 if k.b == 2 else 2

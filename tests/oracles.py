@@ -318,47 +318,35 @@ def _power_coefficients(theta: float, e: int) -> tuple[float, float]:
     return math.sin(e * theta) / math.sin(theta), -math.sin((e - 1) * theta) / math.sin(theta)
 
 
-def nonabelian_surgery_rep(a: int, b: int, p: int, q: int) -> bool:
-    """Whether p/q surgery on the torus knot T(a, b), a, b >= 2 coprime, has
-    an irreducible (so non-abelian) SL(2,C) representation.
+def irreducible_reps(a: int, b: int, angles):
+    """Irreducible SL(2,C) representations of the torus knot group of
+    T(a, b), a, b >= 2 coprime, sampled by the eigenvalues e^(+-i*phi) of
+    the meridian: yields (eps, X, mu) for each phi in angles(eps).
 
-    The knot group is <x, y | x^a = y^b>, with meridian mu = x^u y^v where
+    The group is <x, y | x^a = y^b>, with meridian mu = x^u y^v where
     b*u + a*v = 1, and longitude lam = x^a mu^(-ab).  An irreducible rep
     sends the central x^a to eps*I, eps = +-1: X and Y have eigenvalues
     e^(+-i*pi*k/a) and e^(+-i*pi*l/b), 0 < k < a, 0 < l < b, with
-    (-1)^k = (-1)^l = eps.  The surgery relation mu^p lam^q = I becomes
-    mu^n = eps^q I with n = p - q*ab.  Since mu normally generates, it is
-    not +-I, so it has an eigenvalue zeta != +-1 with zeta^n = eps^q; for
-    n = 0 only eps^q = 1 is needed, and any generic tr XY will do.  With
-    X^u = alpha*X + beta*I and Y^v = gamma*Y + delta*I, tr mu is
-    alpha*gamma*tr(XY) + const, and alpha*gamma != 0 because u and v are
-    units mod a and mod b, so each zeta fixes tr XY.  Solutions with
-    tr[X, Y] = 2 are reducible and skipped; the others are built as
-    explicit matrices and accepted when X^a = Y^b = eps*I and
-    (X^u Y^v)^n = eps^q I hold within 1e-6.
+    (-1)^k = (-1)^l = eps.  With X^u = alpha*X + beta*I and
+    Y^v = gamma*Y + delta*I, tr mu is alpha*gamma*tr(XY) + const, and
+    alpha*gamma != 0 because u and v are units mod a and mod b, so each
+    phi (not a multiple of pi) fixes tr XY.  Solutions with tr[X, Y] = 2
+    are reducible and skipped; the others are built as explicit matrices
+    and yielded when X^a = Y^b = eps*I holds within 1e-6.
     """
     u = pow(b, -1, a)
     v = (1 - b * u) // a
-    n = p - q * a * b
     for k in range(1, a):
         eps = -1 if k % 2 else 1
-        target = eps**q
-        if n == 0 and target != 1:
-            continue
-        # zeta = e^(i*phi) with n*phi = 0 (eps^q = 1) or pi (eps^q = -1), mod 2*pi
-        phis = [(2 * j + (target < 0)) * math.pi / n for j in range(abs(n))]
-        mu_traces = [2 * math.cos(phi) for phi in phis if abs(math.sin(phi)) > 1e-9]
+        mu_traces = [2 * math.cos(phi) for phi in angles(eps) if abs(math.sin(phi)) > 1e-9]
         for l in range(k % 2 or 2, b, 2):
             theta, psi = math.pi * k / a, math.pi * l / b
             x, y = 2 * math.cos(theta), 2 * math.cos(psi)
             alpha, beta = _power_coefficients(theta, u)
             gamma, delta = _power_coefficients(psi, v)
-            if n:
-                const = alpha * delta * x + beta * gamma * y + 2 * beta * delta
-                traces = [(t - const) / (alpha * gamma) for t in mu_traces]
-            else:
-                traces = [complex(0.3, 0.7)]
-            for z in traces:
+            const = alpha * delta * x + beta * gamma * y + 2 * beta * delta
+            for t in mu_traces:
+                z = (t - const) / (alpha * gamma)
                 if abs(x * x + y * y + z * z - x * y * z - 4) < 1e-9:
                     continue
                 xi = cmath.exp(1j * theta)
@@ -366,17 +354,93 @@ def nonabelian_surgery_rep(a: int, b: int, p: int, q: int) -> bool:
                 y22 = y - y11
                 big_x = _Mat(xi, 0, 0, 1 / xi)
                 big_y = _Mat(y11, 1, y11 * y22 - 1, y22)
-                mu = mat_product(
-                    binary_power_reference(big_x, u), binary_power_reference(big_y, v)
-                )
                 residual = max(
                     mat_dist(binary_power_reference(big_x, a), _Mat(eps, 0, 0, eps)),
                     mat_dist(binary_power_reference(big_y, b), _Mat(eps, 0, 0, eps)),
-                    mat_dist(binary_power_reference(mu, n), _Mat(target, 0, 0, target)),
                 )
                 if residual < 1e-6:
-                    return True
+                    mu = mat_product(
+                        binary_power_reference(big_x, u), binary_power_reference(big_y, v)
+                    )
+                    yield eps, big_x, mu
+
+
+def nonabelian_surgery_rep(a: int, b: int, p: int, q: int) -> bool:
+    """Whether p/q surgery on the torus knot T(a, b), a, b >= 2 coprime, has
+    an irreducible (so non-abelian) SL(2,C) representation.
+
+    In a rep of irreducible_reps, the surgery relation mu^p lam^q = I
+    becomes mu^n = eps^q I with n = p - q*ab.  Since mu normally generates,
+    it is not +-I, so it has an eigenvalue zeta = e^(i*phi) != +-1 with
+    zeta^n = eps^q; for n = 0 only eps^q = 1 is needed, and any generic phi
+    will do.  A rep is accepted when mu^n = eps^q I holds within 1e-6.
+    """
+    n = p - q * a * b
+
+    def angles(eps):
+        target = eps**q
+        if n == 0:
+            return [1.0] if target == 1 else []
+        # n*phi = 0 (eps^q = 1) or pi (eps^q = -1), mod 2*pi
+        return [(2 * j + (target < 0)) * math.pi / n for j in range(abs(n))]
+
+    for eps, _, mu in irreducible_reps(a, b, angles):
+        target = eps**q
+        if mat_dist(binary_power_reference(mu, n), _Mat(target, 0, 0, target)) < 1e-6:
+            return True
     return False
+
+
+def _eigenvector(m, value) -> tuple[complex, complex]:
+    """An eigenvector of the 2x2 matrix m for its eigenvalue value: the
+    larger of the two kernel vectors its rows give."""
+    return max((m.b, value - m.a), (value - m.d, m.c), key=lambda v: abs(v[0]) + abs(v[1]))
+
+
+def torus_apoly_oracle(a: int, b: int) -> tuple[dict[tuple[int, int], int], float]:
+    """The enhanced A-polynomial of T(a, b), |a| > b >= 2 coprime, derived
+    from irreducible_reps, with the largest relative commutator
+    |mu*lam - lam*mu| / (|mu| |lam|) met (max-entry norms).
+
+    On a common eigenvector of mu and lam = x^a mu^(-ab) = eps*mu^(-ab),
+    their eigenvalues M, L satisfy L*M^(ab) = eps.  Each eps is read from
+    the computed L*M^(ab) at one generic phi per (k, l), and the
+    polynomial is the product over the eps met of 1 - eps*L*M^(ab), as
+    {(l_exp, m_exp): c}.  The mirror T(-a, b) reverses the longitude, so
+    L -> 1/L, and its factors are L - eps*M^(ab) once the L-powers are
+    cleared.
+    """
+    ab = abs(a) * b
+    signs = set()
+    worst = 0.0
+    for _, big_x, mu in irreducible_reps(abs(a), b, lambda eps: [1.0]):
+        lam = mat_product(binary_power_reference(big_x, abs(a)), binary_power_reference(mu, -ab))
+        if a < 0:
+            lam = mat_inverse(lam)
+        size = max(map(abs, mu)) * max(map(abs, lam))
+        worst = max(worst, mat_dist(mat_product(mu, lam), mat_product(lam, mu)) / size)
+        tr = mu.a + mu.d
+        m = (tr + cmath.sqrt(tr * tr - 4)) / 2
+        vec = _eigenvector(mu, m)
+        lam_vec = (lam.a * vec[0] + lam.b * vec[1], lam.c * vec[0] + lam.d * vec[1])
+        l = (lam_vec[0] * vec[0].conjugate() + lam_vec[1] * vec[1].conjugate()) / (
+            abs(vec[0]) ** 2 + abs(vec[1]) ** 2
+        )
+        value = (l if a > 0 else 1 / l) * m**ab
+        eps = 1 if value.real > 0 else -1
+        if abs(value - eps) > 1e-6:
+            raise ArithmeticError(f"L*M^{ab} = {value} is not +-1 for T({a},{b})")
+        signs.add(eps)
+    poly = {(0, 0): 1}
+    for eps in sorted(signs):
+        factor = {(0, 0): 1, (1, ab): -eps} if a > 0 else {(1, 0): 1, (0, ab): -eps}
+        product: dict[tuple[int, int], int] = {}
+        for (l1, m1), c1 in poly.items():
+            for (l2, m2), c2 in factor.items():
+                key = (l1 + l2, m1 + m2)
+                product[key] = product.get(key, 0) + c1 * c2
+        poly = {key: c for key, c in product.items() if c}
+    return poly, worst
 
 
 def _selftest() -> None:
@@ -407,6 +471,8 @@ def _selftest() -> None:
     assert [nonabelian_surgery_rep(3, 2, p, 1) for p in (4, 5, 6, 7, 8)] == [
         True, False, False, False, True
     ]
+    assert torus_apoly_oracle(3, 2)[0] == {(0, 0): 1, (1, 6): 1}
+    assert torus_apoly_oracle(-5, 3)[0] == {(2, 0): 1, (0, 30): -1}
     print("oracle selftest passed")
 
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven externally stated criteria, each with an exact
+"""Acceptance gate: twelve externally stated criteria, each with an exact
 check and a wall-clock budget.  Every test prints one PASS/FAIL line
 (run with -s to see them live)."""
 
@@ -24,7 +24,6 @@ from knotpoly.repglue import (
     verify_extension,
 )
 from knotpoly.satellite import (
-    SatelliteSpec,
     lspace_admissible,
     satellite_alexander,
     torus_satellite_obstruction,
@@ -112,9 +111,7 @@ def test_criterion_4_winding_witness_machine_check():
         for w in range(1, a):
             r = w % b
             for cp, cq, comp, h in companions:
-                scan = lspace_admissible(
-                    satellite_alexander(SatelliteSpec(pattern, comp, winding=w))
-                )
+                scan = lspace_admissible(satellite_alexander(pattern, comp, w))
                 top = g + h * w
                 if r == 0:
                     # no residue witness exists, and the product is admissible
@@ -292,6 +289,31 @@ def test_criterion_11_abelian_surgeries():
         11,
         f"non-abelian surgeries on {len(knots)} torus knots and mirrors, "
         f"{len(knots) * len(slopes)} slopes each side; family slopes abelian",
+        failures,
+        start,
+        5.0,
+    )
+
+
+def test_criterion_12_apoly_from_representations():
+    # the polynomial derived from SL(2,C) reps equals enhanced_apoly exactly:
+    # vanishing alone would pass a degree-2 polynomial for two-strand knots,
+    # since 1 - L^2 M^(4a) is divisible by 1 + L M^(2a)
+    start = time.perf_counter()
+    failures = []
+    worst = 0.0
+    knots = [TorusKnotSpec(a, b) for p, b in coprime_pairs(3, 75) if p * b <= 150 for a in (p, -p)]
+    for k in knots:
+        derived, commutator = oracles.torus_apoly_oracle(k.a, k.b)
+        worst = max(worst, commutator)
+        f = BiPoly(derived)
+        if f != enhanced_apoly(k) or k not in detect_torus_from_apoly(f).candidates:
+            failures.append((k.a, k.b, derived))
+    if worst > 1e-9:
+        failures.append(("mu, lam commutator", worst))
+    finish(
+        12,
+        f"A-polynomial derived from reps on {len(knots)} torus knots and mirrors, ab <= 150",
         failures,
         start,
         5.0,

@@ -25,13 +25,13 @@ def record(r):
     return json.loads(r.out)
 
 
-def fresh(args, code=None):
-    """Start ``python -c code *args``, or ``python -m knotpoly *args`` without
-    code, in a fresh interpreter on this checkout's src, stdout and stderr
-    piped as text."""
+def fresh(args, code=None, flags=()):
+    """Start ``python *flags -c code *args``, or ``python *flags -m knotpoly
+    *args`` without code, in a fresh interpreter on this checkout's src,
+    stdout and stderr piped as text."""
     src = str(Path(knotpoly.__file__).resolve().parents[1])
     return subprocess.Popen(
-        [sys.executable, *(["-c", code] if code else ["-m", "knotpoly"]), *args],
+        [sys.executable, *flags, *(["-c", code] if code else ["-m", "knotpoly"]), *args],
         env={**os.environ, "PYTHONPATH": src},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
@@ -631,6 +631,23 @@ class TestUsage:
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ValueError"
 
 
+# Each command with the knotpoly modules it loads, besides the CLI
+COMMAND_IMPORTS = [
+    ([], set()),
+    (["alexander", "T(5,2)"], {"laurent", "torusknot"}),
+    (["newton", "1 + M*L"], {"apolygon"}),
+    (["glue-verify", "--count", "1"], {"repglue"}),
+    (["apoly", "T(5,2)"], {"apolygon", "laurent", "torusknot"}),
+    (["detect", "1 - M^10*L"], {"apolygon", "laurent", "torusknot"}),
+    (["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(3,2)"],
+     {"laurent", "satellite", "torusknot"}),
+    (["sweep", "obstruct", "--a-max", "5", "--companion-max", "3"],
+     {"laurent", "satellite", "torusknot"}),
+    (["sweep", "thinness", "--max", "4"], {"apolygon", "laurent", "torusknot"}),
+    (["sweep", "glue", "--per-case", "1"], {"repglue"}),
+]
+
+
 class TestModuleEntry:
     def test_package_exports_resolve_lazily(self):
         import importlib
@@ -644,23 +661,21 @@ class TestModuleEntry:
         with pytest.raises(AttributeError):
             knotpoly.no_such_name
 
-    @pytest.mark.parametrize(
-        "args,loaded",
-        [
-            ([], set()),
-            (["alexander", "T(5,2)"], {"laurent", "torusknot"}),
-            (["newton", "1 + M*L"], {"apolygon"}),
-            (["glue-verify", "--count", "1"], {"repglue"}),
-            (["apoly", "T(5,2)"], {"apolygon", "laurent", "torusknot"}),
-            (["detect", "1 - M^10*L"], {"apolygon", "laurent", "torusknot"}),
-            (["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(3,2)"],
-             {"laurent", "satellite", "torusknot"}),
-            (["sweep", "obstruct", "--a-max", "5", "--companion-max", "3"],
-             {"laurent", "satellite", "torusknot"}),
-            (["sweep", "thinness", "--max", "4"], {"apolygon", "laurent", "torusknot"}),
-            (["sweep", "glue", "--per-case", "1"], {"repglue"}),
-        ],
-    )
+    def test_docstring_examples_run(self):
+        import doctest
+        import importlib
+        import pkgutil
+
+        failed = attempted = 0
+        names = [m.name for m in pkgutil.iter_modules(knotpoly.__path__) if m.name != "__main__"]
+        for module in [knotpoly, *(importlib.import_module(f"knotpoly.{n}") for n in names)]:
+            result = doctest.testmod(module)
+            failed += result.failed
+            attempted += result.attempted
+        assert failed == 0
+        assert attempted >= 4
+
+    @pytest.mark.parametrize("args,loaded", COMMAND_IMPORTS)
     def test_commands_import_only_what_they_use(self, args, loaded):
         code = (
             "import sys\n"
@@ -673,6 +688,20 @@ class TestModuleEntry:
         assert r.returncode == 0, err
         modules = out.strip().splitlines()[-1]
         assert modules == str(sorted(f"knotpoly.{m}" for m in {"cli", *loaded}))
+
+    @pytest.mark.parametrize("args", [args for args, _ in COMMAND_IMPORTS])
+    def test_commands_skip_typing(self, args):
+        # -S: a site .pth file may import typing before knotpoly does
+        code = (
+            "import sys\n"
+            "from knotpoly.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print('typing' in sys.modules)\n"
+        )
+        r = fresh(args, code, flags=["-S"])
+        out, err = r.communicate(timeout=60)
+        assert r.returncode == 0, err
+        assert out.strip().splitlines()[-1] == "False"
 
     @pytest.mark.parametrize(
         "args",

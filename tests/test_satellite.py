@@ -10,11 +10,9 @@ from knotpoly.laurent import LaurentPoly
 from knotpoly.satellite import (
     CheckedCompanion,
     PredictionMismatch,
-    SatelliteSpec,
     check_companion,
     lspace_admissible,
     satellite_alexander,
-    satellite_genus,
     torus_satellite_obstruction,
     winding_violation,
 )
@@ -34,40 +32,46 @@ def expected_kind(b, w):
     return "magnitude_violation" if w % b == 1 else "same_sign_violation"
 
 
-class TestSatelliteSpec:
-    def test_defaults_genus_from_top_exponent(self):
-        s = SatelliteSpec(torus_poly(7, 2), TREFOIL, winding=3)
-        assert s.pattern_genus == 3 and s.companion_genus == 1
+class TestSatelliteAlexanderArguments:
+    def test_genus_from_top_exponent(self):
+        assert satellite_alexander(torus_poly(7, 2), TREFOIL, 3).span() == (-6, 6)
 
     def test_rejects_zero_winding(self):
-        with pytest.raises(ValueError):
-            SatelliteSpec(TREFOIL, TREFOIL, winding=0)
+        with pytest.raises(ValueError, match=r"^winding number must be an integer >= 1, got 0$"):
+            satellite_alexander(TREFOIL, TREFOIL, 0)
 
     def test_rejects_unsymmetrized_pattern(self):
-        with pytest.raises(ValueError):
-            SatelliteSpec(LaurentPoly({2: 1, 0: -1}), TREFOIL, winding=1)
+        with pytest.raises(
+            ValueError, match=r"^pattern polynomial must be symmetrized \(equal to its mirror\)$"
+        ):
+            satellite_alexander(LaurentPoly({2: 1, 0: -1}), TREFOIL, 1)
 
     def test_rejects_negative_normalization(self):
-        with pytest.raises(ValueError):
-            SatelliteSpec(-TREFOIL, TREFOIL, winding=1)
+        with pytest.raises(ValueError, match=r"^pattern polynomial must be positive at t = 1$"):
+            satellite_alexander(-TREFOIL, TREFOIL, 1)
 
     def test_unknot_companion_allowed(self):
-        s = SatelliteSpec(TREFOIL, LaurentPoly({0: 1}), winding=5)
-        assert s.companion_genus == 0
+        assert satellite_alexander(TREFOIL, LaurentPoly({0: 1}), 5) == TREFOIL
+
+    def test_checks_winding_then_pattern_then_companion(self):
+        bad = LaurentPoly({2: 1, 0: -1})
+        with pytest.raises(ValueError, match=r"^winding number"):
+            satellite_alexander(bad, bad, True)
+        with pytest.raises(ValueError, match=r"^pattern polynomial must be nonzero$"):
+            satellite_alexander(LaurentPoly(), bad, 1)
+        with pytest.raises(ValueError, match=r"^companion polynomial must be symmetrized"):
+            satellite_alexander(TREFOIL, bad, 1)
 
 
 class TestSatelliteAlexander:
     def test_square_of_trefoil(self):
-        s = SatelliteSpec(TREFOIL, TREFOIL, winding=1)
-        assert satellite_alexander(s).as_dict() == {2: 1, 1: -2, 0: 3, -1: -2, -2: 1}
+        assert satellite_alexander(TREFOIL, TREFOIL, 1).as_dict() == {2: 1, 1: -2, 0: 3, -1: -2, -2: 1}
 
     def test_unknot_companion_is_identity(self):
-        s = SatelliteSpec(TREFOIL, LaurentPoly({0: 1}), winding=2)
-        assert satellite_alexander(s) == TREFOIL
+        assert satellite_alexander(TREFOIL, LaurentPoly({0: 1}), 2) == TREFOIL
 
     def test_winding_three_golden(self):
-        s = SatelliteSpec(torus_poly(7, 2), TREFOIL, winding=3)
-        assert satellite_alexander(s).coefficient(3) == -2
+        assert satellite_alexander(torus_poly(7, 2), TREFOIL, 3).coefficient(3) == -2
 
     def test_genus_additivity(self):
         for (p, q), (cp, cq), w in [
@@ -75,15 +79,12 @@ class TestSatelliteAlexander:
             ((5, 2), (4, 3), 3),
             ((7, 3), (5, 2), 1),
         ]:
-            s = SatelliteSpec(torus_poly(p, q), torus_poly(cp, cq), winding=w)
-            f = satellite_alexander(s)
-            g = satellite_genus(s)
-            assert g == genus(TorusKnotSpec(p, q)) + w * genus(TorusKnotSpec(cp, cq))
+            f = satellite_alexander(torus_poly(p, q), torus_poly(cp, cq), w)
+            g = genus(TorusKnotSpec(p, q)) + w * genus(TorusKnotSpec(cp, cq))
             assert f.span() == (-g, g)
 
     def test_value_at_one_multiplicative(self):
-        s = SatelliteSpec(torus_poly(5, 3), torus_poly(5, 2), winding=4)
-        f = satellite_alexander(s)
+        f = satellite_alexander(torus_poly(5, 3), torus_poly(5, 2), 4)
         assert sum(c for _, c in f.items()) == 1
 
     @given(
@@ -93,12 +94,11 @@ class TestSatelliteAlexander:
     )
     @settings(max_examples=40)
     def test_matches_dense_oracle(self, pat, comp, w):
-        s = SatelliteSpec(torus_poly(*pat), torus_poly(*comp), winding=w)
         expected = oracles.mul_dicts(
             oracles.torus_alexander_oracle(*pat),
             oracles.dilate_dict(oracles.torus_alexander_oracle(*comp), w),
         )
-        assert satellite_alexander(s).as_dict() == expected
+        assert satellite_alexander(torus_poly(*pat), torus_poly(*comp), w).as_dict() == expected
 
 
 class TestAdmissibility:
@@ -211,8 +211,7 @@ class TestWindingViolation:
         for a, b, w in [(7, 2, 2), (5, 2, 4), (7, 3, 3)]:
             with pytest.raises(ValueError, match="no residue witness"):
                 winding_violation(a, b, w, TREFOIL)
-            s = SatelliteSpec(torus_poly(a, b), TREFOIL, winding=w)
-            assert lspace_admissible(satellite_alexander(s)).ok, (a, b, w)
+            assert lspace_admissible(satellite_alexander(torus_poly(a, b), TREFOIL, w)).ok, (a, b, w)
 
     def test_w_equals_one(self):
         v = winding_violation(3, 2, 1, TREFOIL)
@@ -347,8 +346,8 @@ class TestWindingViolation:
                         for companion in (checked, torus_poly(*comp)):
                             with pytest.raises(ValueError, match="no residue witness"):
                                 winding_violation(a, b, w, companion)
-                        s = SatelliteSpec(torus_poly(a, b), torus_poly(*comp), winding=w)
-                        assert lspace_admissible(satellite_alexander(s)).ok, (a, b, w, comp)
+                        f = satellite_alexander(torus_poly(a, b), torus_poly(*comp), w)
+                        assert lspace_admissible(f).ok, (a, b, w, comp)
 
     @pytest.mark.parametrize(
         "a,b,w",
@@ -432,8 +431,7 @@ class TestScanAgreement:
                 if gcd(a, b) != 1:
                     continue
                 for w in range(1, a):
-                    s = SatelliteSpec(torus_poly(a, b), TREFOIL, winding=w)
-                    rep = lspace_admissible(satellite_alexander(s))
+                    rep = lspace_admissible(satellite_alexander(torus_poly(a, b), TREFOIL, w))
                     if w % b == 0:
                         with pytest.raises(ValueError, match="no residue witness"):
                             winding_violation(a, b, w, TREFOIL)

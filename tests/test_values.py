@@ -17,7 +17,6 @@ from knotpoly.repglue import (
     verify_extension,
 )
 from knotpoly.satellite import (
-    SatelliteSpec,
     check_companion,
     lspace_admissible,
     winding_violation,
@@ -35,7 +34,6 @@ VALUES = {
     "NewtonPolygon": newton_polygon(BiPoly.parse("1 + M*L + M^2 + L^3")),
     "ThinnessResult": thinness(APOLY),
     "DetectionResult": detect_torus_from_apoly(APOLY),
-    "SatelliteSpec": SatelliteSpec(TREFOIL, TREFOIL, 2),
     "AdmissibilityReport": lspace_admissible(TREFOIL * TREFOIL),
     "WindingCheck": winding_violation(7, 2, 3, TREFOIL),
     "CheckedCompanion": check_companion(TREFOIL),
