@@ -119,7 +119,6 @@ _EXPORTS = {
     ),
     "satellite": (
         "AdmissibilityReport",
-        "CheckedCompanion",
         "PredictionMismatch",
         "WindingCheck",
         "check_companion",

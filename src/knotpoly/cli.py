@@ -205,11 +205,11 @@ def sweep_obstruct(a_max: int, companion_max: int):
         for w in range(1, a):
             if (a * b) % (w * w):
                 continue
-            for label, checked in companions:
+            for label, h in companions:
                 # the loop meets torus_satellite_obstruction's hypotheses
                 # (a > b >= 2 coprime, w >= 1, w^2 | ab), so each record
                 # checks its pattern once, in winding_violation
-                check = satellite.winding_violation(a, b, w, checked)
+                check = satellite.winding_violation(a, b, w, h)
                 _echo(_dumps(_obstruction_record(a, b, w, label, check)))
                 total += 1
     # every record is obstructed: w^2 | ab leaves w mod b nonzero

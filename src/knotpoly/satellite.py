@@ -106,41 +106,25 @@ class WindingCheck(_Frozen):
         object.__setattr__(self, "coefficients", coefficients)
 
 
-class CheckedCompanion(_Frozen):
-    """The genus h >= 1 of a companion polynomial that passed
-    check_companion; being admissible, the companion's top two terms are
-    t^h - t^(h-1), which is all a witness reads of it.  Build it with
-    check_companion, once per companion, and pass it to winding_violation
-    or torus_satellite_obstruction for every record.  A genus that is not
-    an int raises TypeError, one below 1 ValueError."""
-
-    __slots__ = ("genus",)
-
-    def __init__(self, genus: int):
-        if not isinstance(genus, int) or isinstance(genus, bool):
-            raise TypeError(f"companion genus must be an int, got {genus!r}")
-        if genus < 1:
-            raise ValueError("companion genus must be >= 1")
-        object.__setattr__(self, "genus", genus)
-
-
-def check_companion(companion: LaurentPoly) -> CheckedCompanion:
-    """Check that a companion polynomial is admissible with genus >= 1,
-    raising ValueError otherwise, and return it as a CheckedCompanion."""
+def check_companion(companion: LaurentPoly) -> int:
+    """Return the genus h of a companion polynomial, raising ValueError
+    unless it is admissible with h >= 1; check each companion once."""
     _require_symmetrized(companion, "companion polynomial")
     report = lspace_admissible(companion)
     if not report.ok:
         raise ValueError(
             f"companion polynomial must be admissible, but it {report.verdict}"
         )
-    return CheckedCompanion(companion.span()[1])
+    h = companion.span()[1]
+    if h < 1:
+        raise ValueError("companion genus must be >= 1")
+    return h
 
 
-def winding_violation(
-    a: int, b: int, w: int, companion: LaurentPoly | CheckedCompanion
-) -> WindingCheck:
+def winding_violation(a: int, b: int, w: int, h: int) -> WindingCheck:
     """Locate the admissibility violation that the residue of w mod b
-    forces in alexander(T(a, b))(t) * companion(t^w).
+    forces in alexander(T(a, b))(t) * companion(t^w), for every admissible
+    companion of genus h (check_companion returns it).
 
     Every witness lies in the window [top - w, top] below the product's
     top exponent top = g + hw, where only the companion's top two terms
@@ -149,18 +133,16 @@ def winding_violation(
     Lam and Leung's closed form computed once per call, so a record costs
     O(w mod b) whatever the size of the pattern or the companion.  Any
     disagreement raises PredictionMismatch.
-    Requires a > b >= 2 coprime, 1 <= w < a, and an admissible companion
-    of genus >= 1: a LaurentPoly is checked on entry, a CheckedCompanion
-    was checked when it was built.  Raises ValueError when b divides w,
-    where no residue witness exists, and when the same-sign gap would
-    span more than MAX_TERMS exponents.
+    Requires a > b >= 2 coprime, 1 <= w < a, and an integer h >= 1,
+    checked in that order.  Raises ValueError when b divides w, where no
+    residue witness exists, and when the same-sign gap would span more
+    than MAX_TERMS exponents.
     """
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or not 1 <= w < a:
         raise ValueError(f"winding number must satisfy 1 <= w < a, got {w!r}")
-    if not isinstance(companion, CheckedCompanion):
-        companion = check_companion(companion)
-    h = companion.genus
+    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+        raise ValueError(f"companion genus must be an integer >= 1, got {h!r}")
     g = (a - 1) * (b - 1) // 2
 
     r = w % b
@@ -205,9 +187,7 @@ def winding_violation(
     )
 
 
-def torus_satellite_obstruction(
-    a: int, b: int, w: int, companion: LaurentPoly | CheckedCompanion
-) -> WindingCheck:
+def torus_satellite_obstruction(a: int, b: int, w: int, companion: LaurentPoly) -> WindingCheck:
     """Decide whether a winding-w satellite with pattern T(a, b) and the
     given companion polynomial is obstructed from instanton L-space
     surgeries, under the divisibility hypothesis w^2 | ab.
@@ -215,10 +195,8 @@ def torus_satellite_obstruction(
     Returns the WindingCheck of winding_violation, which reads each witness
     coefficient in O(1) from the pattern's closed form: every such
     satellite is obstructed, since w^2 | ab leaves w mod b nonzero, and the
-    kind names the violated condition.  The companion may come pre-checked
-    as a CheckedCompanion (check it once, use it for every record); a
-    LaurentPoly is checked (admissible, genus >= 1) on entry, by
-    winding_violation."""
+    kind names the violated condition.  check_companion checks the
+    companion after the pattern, w and w^2 | ab."""
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or w < 1:
         raise ValueError(f"winding number must be an integer >= 1, got {w!r}")
@@ -226,7 +204,7 @@ def torus_satellite_obstruction(
         raise ValueError(f"w^2 = {w * w} does not divide ab = {a * b}")
     # w^2 | ab with a > b coprime forces w < a (else ab >= w^2 >= a^2 > ab)
     # and b not dividing w (else b^2 | ab, so b | a).
-    return winding_violation(a, b, w, companion)
+    return winding_violation(a, b, w, check_companion(companion))
 
 
 def _check_pattern(a: int, b: int) -> None:

@@ -12,7 +12,6 @@ import math
 import re
 
 from . import _Frozen
-from .laurent import LaurentPoly, _raw
 
 # alexander refuses a knot with more nonzero terms than this before it
 # allocates anything: about 175 MB peak to build and print one this size.
@@ -24,6 +23,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .apolygon import BiPoly
+    from .laurent import LaurentPoly
 
 
 class TorusKnotSpec(_Frozen):
@@ -96,6 +96,8 @@ def alexander(k: TorusKnotSpec) -> LaurentPoly:
     s < j < p.  Raises ValueError, before allocating anything, when the
     polynomial would have more than MAX_TERMS nonzero terms.
     """
+    from .laurent import _raw  # deferred: a query that builds no LaurentPoly skips laurent
+
     count = term_count(k)
     if count > MAX_TERMS:
         raise ValueError(
@@ -140,6 +142,8 @@ def leading_form(k: TorusKnotSpec) -> LaurentPoly:
     Agrees with the full Alexander polynomial on every exponent above g - p
     (p = |a|, q = b, g the genus).
     """
+    from .laurent import LaurentPoly  # deferred, as in alexander
+
     p, q = abs(k.a), k.b
     g = genus(k)
     terms: dict[int, int] = {}

@@ -116,11 +116,11 @@ def test_criterion_4_winding_witness_machine_check():
                 if r == 0:
                     # no residue witness exists, and the product is admissible
                     with pytest.raises(ValueError, match="no residue witness"):
-                        winding_violation(a, b, w, comp)
+                        winding_violation(a, b, w, h)
                     if not scan.ok:
                         failures.append((a, b, w, cp, cq, "refused", scan.verdict))
                     continue
-                v = winding_violation(a, b, w, comp)
+                v = winding_violation(a, b, w, h)
                 if r == 1:
                     ok = (
                         v.kind == "magnitude_violation"

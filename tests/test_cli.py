@@ -338,19 +338,29 @@ class TestSweeps:
             }
 
     def test_obstruct_sweep_checks_each_pattern_once_per_record(self, run, monkeypatch):
-        calls = []
+        calls, scans = [], []
         real = satellite._check_pattern
+        real_scan = satellite.lspace_admissible
 
         def counted(a, b):
             calls.append((a, b))
             real(a, b)
 
+        def counted_scan(f):
+            scans.append(f)
+            return real_scan(f)
+
         monkeypatch.setattr(satellite, "_check_pattern", counted)
+        monkeypatch.setattr(satellite, "lspace_admissible", counted_scan)
         r = run(["sweep", "obstruct", "--a-max", "8", "--companion-max", "5"])
         assert r.code == 0
         recs = [json.loads(x) for x in lines(r)]
         assert calls == [(rec["a"], rec["b"]) for rec in recs[:-1]]
         assert len(calls) == recs[-1]["summary"]["total"] > 0
+        # each of the 5 companions is scanned once, by check_companion
+        labels = list(dict.fromkeys(rec["companion"] for rec in recs[:-1]))
+        assert labels == ["T(3,2)", "T(4,3)", "T(5,2)", "T(5,3)", "T(5,4)"]
+        assert scans == [knotpoly.alexander(knotpoly.parse_spec(label)) for label in labels]
 
     def test_glue_sweep(self, run):
         r = run(["sweep", "glue", "--per-case", "5", "--seed", "3"])
@@ -637,13 +647,13 @@ COMMAND_IMPORTS = [
     (["alexander", "T(5,2)"], {"laurent", "torusknot"}),
     (["newton", "1 + M*L"], {"apolygon"}),
     (["glue-verify", "--count", "1"], {"repglue"}),
-    (["apoly", "T(5,2)"], {"apolygon", "laurent", "torusknot"}),
-    (["detect", "1 - M^10*L"], {"apolygon", "laurent", "torusknot"}),
+    (["apoly", "T(5,2)"], {"apolygon", "torusknot"}),
+    (["detect", "1 - M^10*L"], {"apolygon", "torusknot"}),
     (["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(3,2)"],
      {"laurent", "satellite", "torusknot"}),
     (["sweep", "obstruct", "--a-max", "5", "--companion-max", "3"],
      {"laurent", "satellite", "torusknot"}),
-    (["sweep", "thinness", "--max", "4"], {"apolygon", "laurent", "torusknot"}),
+    (["sweep", "thinness", "--max", "4"], {"apolygon", "torusknot"}),
     (["sweep", "glue", "--per-case", "1"], {"repglue"}),
 ]
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from knotpoly import satellite
 from knotpoly.laurent import LaurentPoly
 from knotpoly.satellite import (
-    CheckedCompanion,
     PredictionMismatch,
     check_companion,
     lspace_admissible,
@@ -171,7 +170,7 @@ class TestAdmissibility:
         assert ok == oracles.admissible_bool(coeffs)
         h = f.span()[1]
         if ok and h >= 1:
-            # winding_violation reads a checked companion as t^h - t^(h-1)
+            # winding_violation reads a companion of genus h as t^h - t^(h-1)
             assert f.coefficient(h) == 1 and f.coefficient(h - 1) == -1
 
     def test_admissible_top_two_exhaustive(self):
@@ -194,13 +193,13 @@ class TestAdmissibility:
 
 class TestWindingViolation:
     def test_magnitude_case_golden(self):
-        v = winding_violation(7, 2, 3, TREFOIL)
+        v = winding_violation(7, 2, 3, 1)
         assert v.kind == "magnitude_violation"
         assert v.exponent == 3
         assert v.coefficient == -2
 
     def test_same_sign_case_golden(self):
-        v = winding_violation(5, 3, 2, TREFOIL)
+        v = winding_violation(5, 3, 2, 1)
         assert v.kind == "same_sign_violation"
         assert v.exponent_pair == (5, 4)
         assert v.coefficients == (-1, -1)
@@ -210,11 +209,11 @@ class TestWindingViolation:
         # refuses, and the full product is indeed admissible
         for a, b, w in [(7, 2, 2), (5, 2, 4), (7, 3, 3)]:
             with pytest.raises(ValueError, match="no residue witness"):
-                winding_violation(a, b, w, TREFOIL)
+                winding_violation(a, b, w, 1)
             assert lspace_admissible(satellite_alexander(torus_poly(a, b), TREFOIL, w)).ok, (a, b, w)
 
     def test_w_equals_one(self):
-        v = winding_violation(3, 2, 1, TREFOIL)
+        v = winding_violation(3, 2, 1, 1)
         assert v.kind == "magnitude_violation"
         assert v.exponent == genus(TorusKnotSpec(3, 2)) + 1 - 1
 
@@ -238,6 +237,8 @@ class TestWindingViolation:
         ]:
             companions.append((dense, LaurentPoly(dense), dense))
         for comp, companion, comp_dense in companions:
+            # the witness reads the companion only through its genus
+            h = check_companion(companion)
             for a in range(3, 13):
                 for b in range(2, a):
                     if gcd(a, b) != 1:
@@ -246,7 +247,7 @@ class TestWindingViolation:
                     for w in range(1, a):
                         if w % b == 0:
                             continue
-                        v = winding_violation(a, b, w, companion)
+                        v = winding_violation(a, b, w, h)
                         product = oracles.mul_dicts(
                             pattern_dense, oracles.dilate_dict(comp_dense, w)
                         )
@@ -280,10 +281,10 @@ class TestWindingViolation:
         # The witness reads the pattern only through torusknot's
         # _form_coefficient (torus_coefficient on a precomputed closed form).
         # Adding 1 to the pattern's coefficient at e - w adds 1 to the
-        # product's coefficient at e (TREFOIL's top term is +t) and moves no
+        # product's coefficient at e (a genus-1 companion's top term is +t) and moves no
         # other exponent of the window [top - w, top], so the witness
         # computed from the terms must disagree with the prediction.
-        assert winding_violation(a, b, w, TREFOIL).kind == expected_kind(b, w)
+        assert winding_violation(a, b, w, 1).kind == expected_kind(b, w)
         real = satellite._form_coefficient
         reads = []
 
@@ -293,7 +294,7 @@ class TestWindingViolation:
 
         monkeypatch.setattr(satellite, "_form_coefficient", perturbed)
         with pytest.raises(PredictionMismatch, match=match):
-            winding_violation(a, b, w, TREFOIL)
+            winding_violation(a, b, w, 1)
         assert e - w in reads
 
     def test_closed_form_computed_once_per_call(self, monkeypatch):
@@ -306,7 +307,7 @@ class TestWindingViolation:
 
         monkeypatch.setattr(satellite, "_closed_form", counted)
         # r >= 2 reads both witnesses and every exponent between them
-        assert winding_violation(7, 4, 3, TREFOIL).kind == "same_sign_violation"
+        assert winding_violation(7, 4, 3, 1).kind == "same_sign_violation"
         assert forms == [(7, 4)]
 
     def test_witness_never_builds_the_pattern(self, monkeypatch):
@@ -317,37 +318,14 @@ class TestWindingViolation:
 
         monkeypatch.setattr(satellite, "alexander", refuse)
         for a, b, w in [(7, 2, 3), (5, 3, 2), (7, 4, 3)]:
-            assert winding_violation(a, b, w, TREFOIL).kind == expected_kind(b, w)
+            assert winding_violation(a, b, w, 1).kind == expected_kind(b, w)
         # a pattern far past alexander's MAX_TERMS costs what a small one does
-        v = winding_violation(100003, 100002, 5, TREFOIL)
+        v = winding_violation(100003, 100002, 5, 1)
         g = 100002 * 100001 // 2
         assert v.kind == "same_sign_violation"
         assert v.exponent_pair == (g + 5 - 1, g + 5 - 5)
         with pytest.raises(ValueError, match="no residue witness"):
-            winding_violation(7, 2, 2, TREFOIL)
-
-    def test_checked_companion_matches_plain(self):
-        from math import gcd
-
-        assert CheckedCompanion.__slots__ == ("genus",)
-        for comp in [(3, 2), (5, 2), (4, 3), (7, 5)]:
-            checked = check_companion(torus_poly(*comp))
-            assert checked == CheckedCompanion(genus(TorusKnotSpec(*comp)))
-            for a in range(3, 12):
-                for b in range(2, a):
-                    if gcd(a, b) != 1:
-                        continue
-                    for w in range(1, a):
-                        if w % b:
-                            assert winding_violation(a, b, w, checked) == winding_violation(
-                                a, b, w, torus_poly(*comp)
-                            ), (a, b, w, comp)
-                            continue
-                        for companion in (checked, torus_poly(*comp)):
-                            with pytest.raises(ValueError, match="no residue witness"):
-                                winding_violation(a, b, w, companion)
-                        f = satellite_alexander(torus_poly(a, b), torus_poly(*comp), w)
-                        assert lspace_admissible(f).ok, (a, b, w, comp)
+            winding_violation(7, 2, 2, 1)
 
     @pytest.mark.parametrize(
         "a,b,w",
@@ -355,29 +333,25 @@ class TestWindingViolation:
     )
     def test_rejects_bad_parameters(self, a, b, w):
         with pytest.raises(ValueError):
-            winding_violation(a, b, w, TREFOIL)
+            winding_violation(a, b, w, 1)
 
     def test_rejects_inadmissible_companion(self):
-        with pytest.raises(ValueError):
-            winding_violation(5, 2, 2, TREFOIL * TREFOIL)
-        with pytest.raises(ValueError, match="must be admissible"):
-            winding_violation(7, 2, 3, TREFOIL * TREFOIL)
-        with pytest.raises(ValueError, match="must be admissible"):
+        with pytest.raises(ValueError, match="must be admissible, but it fails_magnitude"):
             check_companion(TREFOIL * TREFOIL)
+        with pytest.raises(ValueError, match="must be admissible"):
+            torus_satellite_obstruction(8, 3, 2, TREFOIL * TREFOIL)
 
     def test_rejects_genus_zero_companion(self):
-        with pytest.raises(ValueError):
-            winding_violation(5, 2, 2, LaurentPoly({0: 1}))
-        with pytest.raises(ValueError, match="genus"):
+        with pytest.raises(ValueError, match="^companion genus must be >= 1$"):
             check_companion(LaurentPoly({0: 1}))
+        with pytest.raises(ValueError, match="^companion genus must be >= 1$"):
+            torus_satellite_obstruction(9, 2, 3, LaurentPoly({0: 1}))
 
-    @pytest.mark.parametrize(
-        "h,error", [(0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError)]
-    )
-    def test_checked_companion_rejects_bad_genus(self, h, error):
-        # no CheckedCompanion, so no witness, for a genus no companion has
-        with pytest.raises(error, match="companion genus must be"):
-            CheckedCompanion(h)
+    @pytest.mark.parametrize("h", [0, -3, 2.5, True])
+    def test_rejects_bad_genus(self, h):
+        # no witness for a genus that no admissible companion has
+        with pytest.raises(ValueError, match=r"^companion genus must be an integer >= 1, got "):
+            winding_violation(7, 2, 3, h)
 
 
 class TestObstruction:
@@ -434,10 +408,10 @@ class TestScanAgreement:
                     rep = lspace_admissible(satellite_alexander(torus_poly(a, b), TREFOIL, w))
                     if w % b == 0:
                         with pytest.raises(ValueError, match="no residue witness"):
-                            winding_violation(a, b, w, TREFOIL)
+                            winding_violation(a, b, w, 1)
                         assert rep.ok, (a, b, w)
                         continue
-                    v = winding_violation(a, b, w, TREFOIL)
+                    v = winding_violation(a, b, w, 1)
                     assert v.kind == expected_kind(b, w), (a, b, w)
                     if v.kind == "magnitude_violation":
                         assert rep.verdict == "fails_magnitude", (a, b, w)

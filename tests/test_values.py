@@ -16,11 +16,7 @@ from knotpoly.repglue import (
     sample_instance,
     verify_extension,
 )
-from knotpoly.satellite import (
-    check_companion,
-    lspace_admissible,
-    winding_violation,
-)
+from knotpoly.satellite import lspace_admissible, winding_violation
 from knotpoly.torusknot import TorusKnotSpec, alexander
 
 TREFOIL = alexander(TorusKnotSpec(3, 2))
@@ -35,8 +31,7 @@ VALUES = {
     "ThinnessResult": thinness(APOLY),
     "DetectionResult": detect_torus_from_apoly(APOLY),
     "AdmissibilityReport": lspace_admissible(TREFOIL * TREFOIL),
-    "WindingCheck": winding_violation(7, 2, 3, TREFOIL),
-    "CheckedCompanion": check_companion(TREFOIL),
+    "WindingCheck": winding_violation(7, 2, 3, 1),
     "Mat2C": Mat2C(1, 2j, -0.5, 4),
     "PeripheralCase": GLUE.case,
     "GlueInstance": GLUE,
@@ -102,7 +97,6 @@ class TestContract:
 
 def test_repr_literals():
     assert repr(VALUES["TorusKnotSpec"]) == "TorusKnotSpec(a=-3, b=2)"
-    assert repr(VALUES["CheckedCompanion"]) == "CheckedCompanion(genus=1)"
     assert repr(Mat2C(1, 0, 0, 1)) == "Mat2C(a=1, b=0, c=0, d=1)"
 
 
