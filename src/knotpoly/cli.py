@@ -8,11 +8,13 @@ randomness, no timestamps.
 
 ``--format`` (or the KNOTPOLY_FORMAT environment variable) switches
 alexander/apoly/newton/detect between text and JSON; obstruct, sweep,
-and glue-verify always emit JSON records, one per line.  Sweeps write
-each record as it is built and never hold records back, then a
-{"summary": ...} record; an error record follows the records already
-written.  A glue record that fails verification is printed with
-"ok": false, counted in "failed", and makes the sweep exit 1.
+and glue-verify always emit JSON records, one per line.  Sweeps never
+hold records back: sweep obstruct writes each (a, b, w) row, one record
+per companion, in one write, the other sweeps each record as it is
+built; then a {"summary": ...} record.  An error record follows the
+records already written.  A glue record that fails verification is
+printed with "ok": false, counted in "failed", and makes the sweep
+exit 1.
 
 Each command writes its records and returns 1 on a failing verdict;
 the dispatcher, main, turns that, a usage error, an error the command
@@ -152,16 +154,21 @@ def _parse_companion(text: str) -> LaurentPoly:
     return LaurentPoly.parse(text)
 
 
-def _obstruction_record(a: int, b: int, w: int, label: str, check: WindingCheck) -> dict:
+def _obstruction_line(
+    a: int, b: int, w: int, label_json: str, check: WindingCheck, shift: int = 0
+) -> str:
+    """The obstructed record _dumps would write, keys in the same order and
+    every witness exponent raised by shift; label_json is the companion
+    label already encoded by _dumps, and an int prints as json prints it."""
     if check.kind == "magnitude_violation":
-        witness = {"kind": check.kind, "exponent": check.exponent, "coefficient": check.coefficient}
+        witness = f'"exponent":{check.exponent + shift},"coefficient":{check.coefficient}'
     else:
-        witness = {
-            "kind": check.kind,
-            "exponents": list(check.exponent_pair),
-            "coefficients": list(check.coefficients),
-        }
-    return {"a": a, "b": b, "w": w, "companion": label, "verdict": "obstructed", "witness": witness}
+        (e1, e2), (c1, c2) = check.exponent_pair, check.coefficients
+        witness = f'"exponents":[{e1 + shift},{e2 + shift}],"coefficients":[{c1},{c2}]'
+    return (
+        f'{{"a":{a},"b":{b},"w":{w},"companion":{label_json},"verdict":"obstructed",'
+        f'"witness":{{"kind":"{check.kind}",{witness}}}}}'
+    )
 
 
 def obstruct(a: int, b: int, w: int, companion: str):
@@ -170,7 +177,7 @@ def obstruct(a: int, b: int, w: int, companion: str):
 
     poly = _parse_companion(companion)
     check = satellite.torus_satellite_obstruction(a, b, w, poly)
-    _echo(_dumps(_obstruction_record(a, b, w, str(poly), check)))
+    _echo(_obstruction_line(a, b, w, _dumps(str(poly)), check))
 
 
 def _coprime_pairs(limit: int):
@@ -198,20 +205,25 @@ def sweep_obstruct(a_max: int, companion_max: int):
                 f"companions up to {big} have {terms} nonzero Alexander terms, "
                 f"more than the limit {torusknot.MAX_TERMS}"
             )
-    # each companion is checked once here, not once per record
-    companions = [(str(k), satellite.check_companion(torusknot.alexander(k))) for k in specs]
+    # each companion is checked once here, not once per record, and its
+    # label encoded once
+    companions = [
+        (_dumps(str(k)), satellite.check_companion(torusknot.alexander(k))) for k in specs
+    ]
     total = 0
     for a, b in _coprime_pairs(a_max):
         for w in range(1, a):
             if (a * b) % (w * w):
                 continue
-            for label, h in companions:
-                # the loop meets torus_satellite_obstruction's hypotheses
-                # (a > b >= 2 coprime, w >= 1, w^2 | ab), so each record
-                # checks its pattern once, in winding_violation
-                check = satellite.winding_violation(a, b, w, h)
-                _echo(_dumps(_obstruction_record(a, b, w, label, check)))
-                total += 1
+            # the loop meets torus_satellite_obstruction's hypotheses
+            # (a > b >= 2 coprime, w >= 1, w^2 | ab); a witness at genus h is
+            # the one at genus 1 with its exponents raised by (h - 1)w, so
+            # winding_violation checks the row once and the row is one write
+            check = satellite.winding_violation(a, b, w, 1)
+            _echo("\n".join(
+                _obstruction_line(a, b, w, label, check, (h - 1) * w) for label, h in companions
+            ))
+            total += len(companions)
     # every record is obstructed: w^2 | ab leaves w mod b nonzero
     summary = {"total": total, "obstructed": total, "config_impossible": 0, "not_obstructed": 0}
     _echo(_dumps({"summary": summary}))

@@ -133,6 +133,11 @@ def winding_violation(a: int, b: int, w: int, h: int) -> WindingCheck:
     Lam and Leung's closed form computed once per call, so a record costs
     O(w mod b) whatever the size of the pattern or the companion.  Any
     disagreement raises PredictionMismatch.
+    The genus drops out of every coefficient: at exponent e + (h - 1)w,
+    genus h reads the pattern where genus 1 reads it at e.  So
+    winding_violation(a, b, w, h) is winding_violation(a, b, w, 1) with
+    every exponent raised by (h - 1)w, its kind and coefficients the same,
+    and sweep obstruct checks one witness per (a, b, w).
     Requires a > b >= 2 coprime, 1 <= w < a, and an integer h >= 1,
     checked in that order.  Raises ValueError when b divides w, where no
     residue witness exists, and when the same-sign gap would span more

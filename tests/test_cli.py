@@ -266,6 +266,59 @@ class TestObstruct:
         assert capsysbinary.readouterr() == (b"", b"")
 
 
+class TestObstructionLine:
+    """Every obstruct record is the compact, key-ordered line stdlib json
+    writes for it."""
+
+    @staticmethod
+    def compact(line):
+        return json.dumps(json.loads(line), separators=(",", ":"))
+
+    def test_sweep_lines_are_compact_json(self, run):
+        r = run(["sweep", "obstruct", "--a-max", "8", "--companion-max", "5"])
+        assert r.code == 0
+        out = lines(r)
+        assert len(out) == 101
+        for line in out:
+            assert line == self.compact(line)
+
+    @pytest.mark.parametrize(
+        "a,b,w,companion,kind",
+        [
+            ("9", "2", "3", "T(3,2)", "magnitude_violation"),
+            ("9", "8", "6", "T(5,4)", "same_sign_violation"),
+            ("8", "3", "2", "t^2 - t + 1 - t^-1 + t^-2", "same_sign_violation"),
+            ("5", "4", "1", "T(-7,3)", "magnitude_violation"),
+        ],
+    )
+    def test_query_lines_are_compact_json(self, run, a, b, w, companion, kind):
+        r = run(["obstruct", "--a", a, "--b", b, "--w", w, "--companion", companion])
+        assert r.code == 0
+        (line,) = lines(r)
+        assert line == self.compact(line)
+        witness = json.loads(line)["witness"]
+        assert witness["kind"] == kind
+        # the witness coefficients are negative, as are the label's exponents
+        assert max(witness.get("coefficients") or [witness["coefficient"]]) < 0
+        assert "^-" in json.loads(line)["companion"]
+
+    @pytest.mark.parametrize("shift", [0, 7])
+    def test_formatter_matches_json_dumps(self, shift):
+        from knotpoly.satellite import WindingCheck
+
+        label = 't^-1 "\u00e9"'
+        for check, witness in [
+            (WindingCheck("magnitude_violation", exponent=-3, coefficient=-2),
+             {"exponent": -3 + shift, "coefficient": -2}),
+            (WindingCheck("same_sign_violation", exponent_pair=(-4, -9), coefficients=(-1, -3)),
+             {"exponents": [-4 + shift, -9 + shift], "coefficients": [-1, -3]}),
+        ]:
+            record = {"a": 11, "b": 3, "w": 5, "companion": label, "verdict": "obstructed",
+                      "witness": {"kind": check.kind, **witness}}
+            line = cli._obstruction_line(11, 3, 5, json.dumps(label), check, shift)
+            assert line == json.dumps(record, separators=(",", ":"))
+
+
 class TestSweeps:
     def test_thinness_sweep(self, run):
         r = run(["sweep", "thinness", "--max", "8"])
@@ -337,30 +390,69 @@ class TestSweeps:
                 }
             }
 
-    def test_obstruct_sweep_checks_each_pattern_once_per_record(self, run, monkeypatch):
-        calls, scans = [], []
+    def test_obstruct_sweep_checks_each_pattern_once_per_row(self, run, monkeypatch):
+        # a witness at genus h is the genus-1 one shifted by (h - 1)w, so each
+        # (a, b, w) row calls winding_violation once, with h = 1, and checks
+        # its pattern once, whatever the number of companions
+        calls, witnesses, scans = [], [], []
         real = satellite._check_pattern
+        real_witness = satellite.winding_violation
         real_scan = satellite.lspace_admissible
 
         def counted(a, b):
             calls.append((a, b))
             real(a, b)
 
+        def counted_witness(*args):
+            witnesses.append(args)
+            return real_witness(*args)
+
         def counted_scan(f):
             scans.append(f)
             return real_scan(f)
 
         monkeypatch.setattr(satellite, "_check_pattern", counted)
+        monkeypatch.setattr(satellite, "winding_violation", counted_witness)
         monkeypatch.setattr(satellite, "lspace_admissible", counted_scan)
         r = run(["sweep", "obstruct", "--a-max", "8", "--companion-max", "5"])
         assert r.code == 0
         recs = [json.loads(x) for x in lines(r)]
-        assert calls == [(rec["a"], rec["b"]) for rec in recs[:-1]]
-        assert len(calls) == recs[-1]["summary"]["total"] > 0
+        rows = list(dict.fromkeys((rec["a"], rec["b"], rec["w"]) for rec in recs[:-1]))
+        assert calls == [(a, b) for a, b, _ in rows]
+        assert witnesses == [(a, b, w, 1) for a, b, w in rows]
+        assert 5 * len(rows) == recs[-1]["summary"]["total"] > len(rows) > 0
         # each of the 5 companions is scanned once, by check_companion
         labels = list(dict.fromkeys(rec["companion"] for rec in recs[:-1]))
         assert labels == ["T(3,2)", "T(4,3)", "T(5,2)", "T(5,3)", "T(5,4)"]
         assert scans == [knotpoly.alexander(knotpoly.parse_spec(label)) for label in labels]
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [(satellite.PredictionMismatch("predicted coefficient absent"), 3),
+         (ValueError("no residue witness"), 1)],
+        ids=["mismatch", "value"],
+    )
+    def test_obstruct_sweep_error_follows_the_rows_before_it(self, run, monkeypatch, error, code):
+        argv = ["sweep", "obstruct", "--a-max", "8", "--companion-max", "5"]
+        clean = lines(run(argv))
+        real = satellite.winding_violation
+        rows = []
+
+        def third_row_fails(*args):
+            rows.append(args)
+            if len(rows) == 3:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(satellite, "winding_violation", third_row_fails)
+        r = run(argv)
+        assert r.code == code and len(rows) == 3
+        # two rows of 5 companions each, none of the third, then the error
+        failed = {"error": {"kind": type(error).__name__, "detail": str(error)}}
+        assert lines(r) == [*clean[:10], json.dumps(failed, separators=(",", ":"))]
+        assert {(rec["a"], rec["b"], rec["w"]) for rec in map(json.loads, clean[:10])} == {
+            row[:3] for row in rows[:2]
+        }
 
     def test_glue_sweep(self, run):
         r = run(["sweep", "glue", "--per-case", "5", "--seed", "3"])

@@ -268,6 +268,34 @@ class TestWindingViolation:
                         seen += 1
         assert seen > 500
 
+    def test_genus_shifts_every_exponent_by_w(self):
+        # the identity sweep obstruct relies on: genus h is genus 1 with each
+        # witness exponent raised by (h - 1)w, kind and coefficients kept
+        from math import gcd
+
+        seen = 0
+        for a in range(3, 30):
+            for b in range(2, a):
+                if gcd(a, b) != 1:
+                    continue
+                for w in range(1, a):
+                    if w % b == 0:
+                        continue
+                    base = winding_violation(a, b, w, 1)
+                    for h in range(1, 12):
+                        k = (h - 1) * w
+                        v = winding_violation(a, b, w, h)
+                        assert (v.kind, v.coefficient, v.coefficients) == (
+                            base.kind, base.coefficient, base.coefficients
+                        ), (a, b, w, h)
+                        if base.kind == "magnitude_violation":
+                            assert (v.exponent, v.exponent_pair) == (base.exponent + k, None)
+                        else:
+                            e1, e2 = base.exponent_pair
+                            assert (v.exponent, v.exponent_pair) == (None, (e1 + k, e2 + k))
+                        seen += 1
+        assert seen == 45_485  # 4,135 (a, b, w) rows, 11 genera each
+
     @pytest.mark.parametrize(
         "a,b,w,e,match",
         [
