@@ -25,8 +25,9 @@ class PredictionMismatch(RuntimeError):
 
 class _Frozen:
     """Base of the immutable value types: a subclass lists its fields in __slots__ and
-    sets each once in __init__ with object.__setattr__.  Equality (same class, equal
-    _compared fields, all by default), hash, repr, copy and pickle read the fields."""
+    sets each once in __init__ with object.__setattr__, or, as Mat2C does, through its
+    slot descriptors' __set__, which skips the lookup by name.  Equality (same class,
+    equal _compared fields, all by default), hash, repr, copy and pickle read the fields."""
 
     __slots__ = ()
     _compared: tuple[str, ...] | None = None

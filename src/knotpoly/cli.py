@@ -8,13 +8,13 @@ randomness, no timestamps.
 
 ``--format`` (or the KNOTPOLY_FORMAT environment variable) switches
 alexander/apoly/newton/detect between text and JSON; obstruct, sweep,
-and glue-verify always emit JSON records, one per line.  Sweeps never
-hold records back: sweep obstruct writes each (a, b, w) row, one record
-per companion, in one write, the other sweeps each record as it is
-built; then a {"summary": ...} record.  An error record follows the
-records already written.  A glue record that fails verification is
-printed with "ok": false, counted in "failed", and makes the sweep
-exit 1.
+and glue-verify always emit JSON records, one per line.  sweep obstruct
+writes each (a, b, w) row, one record per companion, in one write; sweep
+glue, glue-verify and sweep thinness write their records in batches of
+100; then a {"summary": ...} record.  An error record follows every
+record already formatted: a part-filled batch is written before it.  A
+glue record that fails verification is printed with "ok": false,
+counted in "failed", and makes the sweep exit 1.
 
 Each command writes its records and returns 1 on a failing verdict;
 the dispatcher, main, turns that, a usage error, an error the command
@@ -61,6 +61,27 @@ def _echo(line: str) -> None:
     # (pytest's capture, or the benchmark's CliRunner); the stream's own
     # buffering decides when a record reaches a pipe
     sys.stdout.write(line + "\n")
+
+
+# lines a batched sweep writes per call
+_BATCH = 100
+
+
+def _write_batched(lines) -> None:
+    """Write the lines of an iterator, _BATCH to a write.  The lines already
+    built are written however the iterator ends, so an error it raises
+    comes out after every record before it."""
+    batch = []
+    try:
+        for line in lines:
+            batch.append(line)
+            if len(batch) == _BATCH:
+                # emptied before the write, so a write that fails is not retried
+                text, batch = "\n".join(batch), []
+                _echo(text)
+    finally:
+        if batch:
+            _echo("\n".join(batch))
 
 
 def _emit(fmt: str, lines: list[str], record: dict) -> None:
@@ -234,15 +255,20 @@ def sweep_thinness(limit: int):
     a segment of slope ab."""
     from . import apolygon, torusknot
 
-    total = mismatches = 0
-    for big, small in _coprime_pairs(limit):
-        for a in (big, -big):
-            k = torusknot.TorusKnotSpec(a, small)
-            thin = apolygon.thinness(torusknot.enhanced_apoly(k))
-            expected = k.a * k.b
-            ok = thin.kind == "thin" and thin.slope == expected
-            _echo(
-                _dumps(
+    mismatches = 0
+
+    def lines():
+        nonlocal mismatches
+        total = 0
+        for big, small in _coprime_pairs(limit):
+            for a in (big, -big):
+                k = torusknot.TorusKnotSpec(a, small)
+                thin = apolygon.thinness(torusknot.enhanced_apoly(k))
+                expected = k.a * k.b
+                ok = thin.kind == "thin" and thin.slope == expected
+                total += 1
+                mismatches += 0 if ok else 1
+                yield _dumps(
                     {
                         "a": k.a,
                         "b": k.b,
@@ -252,11 +278,40 @@ def sweep_thinness(limit: int):
                         "ok": ok,
                     }
                 )
-            )
-            total += 1
-            mismatches += 0 if ok else 1
-    _echo(_dumps({"summary": {"total": total, "mismatches": mismatches}}))
+        yield _dumps({"summary": {"total": total, "mismatches": mismatches}})
+
+    _write_batched(lines())
     return 1 if mismatches else 0
+
+
+# json's spelling of the floats whose repr is not json
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_BOOL = ("false", "true")
+
+
+def _json_number(x) -> str:
+    """An int or a float as json writes it: its repr, or NaN, Infinity or -Infinity."""
+    text = repr(x)
+    return _JSON_FLOAT.get(text, text)
+
+
+def _glue_line(kind: str, inst, ext, res) -> str:
+    """The glue record _dumps would write for one verified instance, keys in
+    the same order; kind is one of CASE_KINDS, which json writes as it is.
+    A residual keeps its type: an int one (a Jordan power's entries stay
+    int) prints as an int, as json prints it."""
+    r1, r2, r3 = map(_json_number, res.residuals)
+    k = "null" if ext.chosen_k is None else ext.chosen_k
+    line = (
+        f'{{"case":"{kind}","p":{inst.p},"q":{inst.q},"w":{inst.w},"d":{inst.d},"k":{k},'
+        f'"central_twist":{_JSON_BOOL[ext.central_twist_used]},'
+        f'"residuals":[{r1},{r2},{r3}],"ok":{_JSON_BOOL[res.ok]}'
+    )
+    if kind != "diagonal":
+        return line + "}"
+    polar = ext.polar
+    s, t, theta, phi, m = map(_json_number, (polar[key] for key in ("s", "t", "theta", "phi", "m")))
+    return f'{line},"polar":{{"s":{s},"t":{t},"theta":{theta},"phi":{phi},"m":{m}}}}}'
 
 
 def glue_verify(count: int, seed: int, tolerance: float, case_kind: str = "all"):
@@ -268,27 +323,20 @@ def glue_verify(count: int, seed: int, tolerance: float, case_kind: str = "all")
     kinds = CASE_KINDS if case_kind == "all" else (case_kind,)
     rng = Random(seed)
     failures = 0
-    for kind in kinds:
-        for _ in range(count):
-            inst = repglue.sample_instance(kind, rng)
-            ext = repglue.construct_extension(inst)
-            res = repglue.verify_extension(inst, ext, tolerance)
-            record = {
-                "case": kind,
-                "p": inst.p,
-                "q": inst.q,
-                "w": inst.w,
-                "d": inst.d,
-                "k": ext.chosen_k,
-                "central_twist": ext.central_twist_used,
-                "residuals": list(res.residuals),
-                "ok": res.ok,
-            }
-            if kind == "diagonal":
-                record["polar"] = {key: ext.polar[key] for key in ("s", "t", "theta", "phi", "m")}
-            _echo(_dumps(record))
-            failures += 0 if res.ok else 1
-    _echo(_dumps({"summary": {"total": len(kinds) * count, "failed": failures}}))
+
+    def lines():
+        nonlocal failures
+        for kind in kinds:
+            for _ in range(count):
+                # looked up on repglue per record: the benchmark's tracer wraps them
+                inst = repglue.sample_instance(kind, rng)
+                ext = repglue.construct_extension(inst)
+                res = repglue.verify_extension(inst, ext, tolerance)
+                failures += 0 if res.ok else 1
+                yield _glue_line(kind, inst, ext, res)
+        yield _dumps({"summary": {"total": len(kinds) * count, "failed": failures}})
+
+    _write_batched(lines())
     return 1 if failures else 0
 
 

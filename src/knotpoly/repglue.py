@@ -22,7 +22,9 @@ or the identity that a residual needs is never built as a Mat2C.  Powers
 are Mat2C.__pow__, binary exponentiation on scalars with the expressions
 of _product in the same order, so a power and every residual equal those
 of the chain of whole-matrix products bit for bit; that whole-matrix
-reference lives in tests/oracles.py.
+reference lives in tests/oracles.py.  The reference also squares the base
+after the top bit; __pow__ skips that square, which no entry of the result
+reads, so the bits stay the same.
 """
 
 from __future__ import annotations
@@ -44,10 +46,12 @@ class Mat2C(_Frozen):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        # the slot descriptors' setters, bound once below the class: a call
+        # each, cheaper than object.__setattr__'s lookup by name
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     @staticmethod
     def diagonal(x: complex, y: complex) -> "Mat2C":
@@ -70,7 +74,11 @@ class Mat2C(_Frozen):
         a negative power first inverts with d/det, -b/det, -c/det, a/det
         (det = ad - bc), in the same order, so the result equals the chain
         of whole-matrix products bit for bit while only the returned
-        matrix is built."""
+        matrix is built.  The base is squared only while a higher bit is
+        left: no entry of the result reads the square after the top bit,
+        so skipping it changes no bit (a float or complex product that
+        overflows gives inf, it does not raise, so that square raised
+        nothing either)."""
         ba, bb, bc, bd = self.a, self.b, self.c, self.d
         if n < 0:
             det = ba * bd - bb * bc
@@ -85,13 +93,14 @@ class Mat2C(_Frozen):
                     rc * ba + rd * bc,
                     rc * bb + rd * bd,
                 )
-            ba, bb, bc, bd = (
-                ba * ba + bb * bc,
-                ba * bb + bb * bd,
-                bc * ba + bd * bc,
-                bc * bb + bd * bd,
-            )
             n >>= 1
+            if n:
+                ba, bb, bc, bd = (
+                    ba * ba + bb * bc,
+                    ba * bb + bb * bd,
+                    bc * ba + bd * bc,
+                    bc * bb + bd * bd,
+                )
         return Mat2C(ra, rb, rc, rd)
 
     def dist(self, other: "Mat2C") -> float:
@@ -101,6 +110,9 @@ class Mat2C(_Frozen):
             abs(self.c - other.c),
             abs(self.d - other.d),
         )
+
+
+_set_a, _set_b, _set_c, _set_d = (Mat2C.__dict__[name].__set__ for name in Mat2C.__slots__)
 
 
 def _product(x: Mat2C, y: Mat2C) -> tuple[complex, complex, complex, complex]:

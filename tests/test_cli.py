@@ -2,7 +2,9 @@
 environment-variable defaults, and run-to-run determinism."""
 
 import ast
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -319,6 +321,53 @@ class TestObstructionLine:
             assert line == json.dumps(record, separators=(",", ":"))
 
 
+class TestGlueLine:
+    """Every glue record is the compact, key-ordered line stdlib json writes
+    for it."""
+
+    def test_sweep_lines_are_compact_json(self, run):
+        r = run(["sweep", "glue", "--per-case", "50", "--seed", "3"])
+        assert r.code == 0
+        out = lines(r)
+        assert len(out) == 151
+        for line in out:
+            assert line == json.dumps(json.loads(line), separators=(",", ":"))
+        # Jordan powers keep int entries, so some residuals print as ints
+        assert any(type(x) is int for line in out[:-1] for x in json.loads(line)["residuals"])
+
+    def test_formatter_matches_json_dumps(self):
+        polar = {"s": 1.0, "t": 1e300, "theta": -0.0, "phi": -3.141592653589793, "m": -2, "k": 4}
+        for kind, k, twist, ok, residuals in itertools.product(
+            ["diagonal", "jordan_plus"],
+            [None, 0, 4],
+            [False, True],
+            [False, True],
+            [(0, 0, 0.0), (-0.0, 1.5e-17, 0), (math.nan, math.inf, -math.inf)],
+        ):
+            inst = repglue.GlueInstance(-9, 7, 6, 1, None, None, None)
+            ext = repglue.Extension(None, None, twist, k, polar if kind == "diagonal" else None)
+            res = repglue.VerifyResult(ok, residuals)
+            record = {"case": kind, "p": -9, "q": 7, "w": 6, "d": 1, "k": k, "central_twist": twist,
+                      "residuals": list(residuals), "ok": ok}
+            if kind == "diagonal":
+                record["polar"] = {key: polar[key] for key in ("s", "t", "theta", "phi", "m")}
+            line = cli._glue_line(kind, inst, ext, res)
+            assert line == json.dumps(record, separators=(",", ":")), record
+
+
+def writes(monkeypatch):
+    """The number of lines in each write the command line makes from now on."""
+    counts = []
+    real = cli._echo
+
+    def counted(text):
+        counts.append(text.count("\n") + 1)
+        real(text)
+
+    monkeypatch.setattr(cli, "_echo", counted)
+    return counts
+
+
 class TestSweeps:
     def test_thinness_sweep(self, run):
         r = run(["sweep", "thinness", "--max", "8"])
@@ -330,6 +379,28 @@ class TestSweeps:
         assert all(rec["ok"] for rec in recs[:-1])
         signs = {rec["a"] > 0 for rec in recs[:-1]}
         assert signs == {True, False}
+
+    def test_thinness_sweep_error_follows_the_records_before_it(self, run, monkeypatch):
+        from knotpoly import apolygon
+
+        argv = ["sweep", "thinness", "--max", "20"]
+        clean = lines(run(argv))
+        real = apolygon.thinness
+        calls = []
+
+        def fails_150th(f):
+            calls.append(f)
+            if len(calls) == 150:
+                raise ValueError("no polygon")
+            return real(f)
+
+        monkeypatch.setattr(apolygon, "thinness", fails_150th)
+        counts = writes(monkeypatch)
+        r = run(argv)
+        assert r.code == 1 and len(clean) > 151
+        # a batch of 100, the 49 records pending, then the error
+        assert lines(r) == [*clean[:149], '{"error":{"kind":"ValueError","detail":"no polygon"}}']
+        assert counts == [100, 49, 1]
 
     def test_obstruct_sweep(self, run):
         r = run(["sweep", "obstruct", "--a-max", "10", "--companion-max", "6"])
@@ -618,6 +689,34 @@ class TestGlueVerify:
         assert all(rec["case"] == "diagonal" and rec["ok"] for rec in recs[:2])
         assert recs[2] == {"error": {"kind": "ValueError", "detail": "sampler failed"}}
 
+    def test_error_part_way_through_a_batch(self, run, monkeypatch):
+        argv = ["sweep", "glue", "--per-case", "100", "--seed", "3"]
+        clean = lines(run(argv))
+        sample = repglue.sample_instance
+        calls = []
+
+        def fails_150th(*args):
+            calls.append(args)
+            if len(calls) == 150:
+                raise ValueError("sampler failed")
+            return sample(*args)
+
+        monkeypatch.setattr(repglue, "sample_instance", fails_150th)
+        counts = writes(monkeypatch)
+        r = run(argv)
+        assert r.code == 1
+        # one batch of 100 written, 49 records pending, then the error
+        error = '{"error":{"kind":"ValueError","detail":"sampler failed"}}'
+        assert lines(r) == [*clean[:149], error]
+        assert counts == [100, 49, 1]
+
+    def test_records_and_summary_write_in_batches_of_100(self, run, monkeypatch):
+        counts = writes(monkeypatch)
+        r = run(["sweep", "glue", "--per-case", "100", "--seed", "3"])
+        assert r.code == 0 and len(lines(r)) == 301
+        # the summary is the 301st line, in a batch of its own
+        assert counts == [100, 100, 100, 1]
+
 
 class TestUsage:
     """argparse parity with the click CLI this replaced."""
@@ -902,6 +1001,21 @@ class TestModuleEntry:
         # meets the closed reader: exit 1 as on EPIPE, and no traceback
         with fresh(["sweep", "glue", "--per-case", "2000"]) as r:
             assert json.loads(r.stdout.readline())["case"] == "diagonal"
+            r.stdout.close()
+            assert r.wait(timeout=60) == 1
+            assert r.stderr.read() == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["sweep", "glue", "--per-case", "2000"], ["sweep", "thinness", "--max", "60"]],
+        ids=["glue", "thinness"],
+    )
+    def test_closed_stdout_ends_quietly_unbuffered(self, args):
+        # with -u each batch of 100 records is a write straight to the pipe;
+        # the output is past a pipe's 64 KiB, so a later batch meets the
+        # closed reader
+        with fresh(args, flags=("-u",)) as r:
+            assert "summary" not in json.loads(r.stdout.readline())
             r.stdout.close()
             assert r.wait(timeout=60) == 1
             assert r.stderr.read() == ""

@@ -110,6 +110,35 @@ class TestMat2C:
         # at least half of the 60 * 81 draws are invertible where needed
         assert compared >= 2430
 
+    def test_pow_squares_once_per_bit_below_the_top(self):
+        # a product per set bit and a square per bit below the top one, 8
+        # scalar products each: n = 1 squares nothing and n = 2**k squares k
+        # times, so a square after the top bit, which no entry reads, fails
+        products = []
+
+        class Counted:
+            def __init__(self, value):
+                self.value = value
+
+            def __mul__(self, other):
+                products.append(None)
+                return Counted(self.value * getattr(other, "value", other))
+
+            def __add__(self, other):
+                return Counted(self.value + getattr(other, "value", other))
+
+            __rmul__, __radd__ = __mul__, __add__
+
+        m = Mat2C(*map(Counted, (1, 1, 0, 1)))
+        for n in range(1, 70):
+            products.clear()
+            assert (m ** n).b.value == n
+            assert len(products) == 8 * (bin(n).count("1") + n.bit_length() - 1), n
+        for k in range(8):
+            products.clear()
+            m ** 2**k
+            assert len(products) == 8 * (1 + k), k
+
     def test_det_and_dist(self):
         assert Mat2C(2, 0, 0, 0.5).det() == 1
         assert diag(1, 1).dist(diag(1, 1 + 3e-4)) == pytest.approx(3e-4)
