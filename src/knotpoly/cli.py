@@ -8,21 +8,20 @@ randomness, no timestamps.
 
 ``--format`` (or the KNOTPOLY_FORMAT environment variable) switches
 alexander/apoly/newton/detect between text and JSON; obstruct, sweep,
-and glue-verify always emit JSON records, one per line.  sweep obstruct
-writes each (a, b, w) row, one record per companion, in one write; sweep
-glue, glue-verify and sweep thinness write their records in batches of
-100; then a {"summary": ...} record.  An error record follows every
-record already formatted: a part-filled batch is written before it.  A
-glue record that fails verification is printed with "ok": false,
-counted in "failed", and makes the sweep exit 1.
+and glue-verify always emit JSON records, one per line; a sweep ends
+with a {"summary": ...} record.  A glue record that fails verification
+is printed with "ok": false, counted in "failed", and makes the sweep
+exit 1.
 
-Each command writes its records and returns 1 on a failing verdict;
-the dispatcher, main, turns that, a usage error, an error the command
-raises, or a closed stdout into the exit code.  Exit codes: 0 success,
-1 domain error (with a structured {"error": ...} record), a failing
-verdict or a closed stdout (nothing on stderr), 2 usage error, 3
-internal invariant failure (PredictionMismatch, with the same
-{"error": ...} record).
+Each command returns its lines, a query as a list and a sweep as a
+generator that returns 1 on a failing verdict; one writer, _write, puts
+them on stdout: every command's lines go out 100 to a write; an error
+record follows every record already formatted.  The dispatcher, main,
+turns the command's code, a usage error, an error the command raises,
+or a closed stdout into the exit code.  Exit codes: 0 success, 1 domain
+error (with a structured {"error": ...} record), a failing verdict or a
+closed stdout (nothing on stderr), 2 usage error, 3 internal invariant
+failure (PredictionMismatch, with the same {"error": ...} record).
 """
 
 from __future__ import annotations
@@ -63,18 +62,22 @@ def _echo(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-# lines a batched sweep writes per call
+# lines a command writes per call
 _BATCH = 100
 
 
-def _write_batched(lines) -> None:
-    """Write the lines of an iterator, _BATCH to a write.  The lines already
-    built are written however the iterator ends, so an error it raises
-    comes out after every record before it."""
-    batch = []
+def _write(lines) -> int:
+    """Write a command's lines, _BATCH to a write, and return its exit code:
+    the value its generator returns, or 0.  The lines already built are
+    written however the command ends, so an error it raises comes out after
+    every record before it."""
+    lines, batch = iter(lines), []
     try:
-        for line in lines:
-            batch.append(line)
+        while True:
+            try:
+                batch.append(next(lines))
+            except StopIteration as stop:
+                return stop.value or 0
             if len(batch) == _BATCH:
                 # emptied before the write, so a write that fails is not retried
                 text, batch = "\n".join(batch), []
@@ -84,12 +87,8 @@ def _write_batched(lines) -> None:
             _echo("\n".join(batch))
 
 
-def _emit(fmt: str, lines: list[str], record: dict) -> None:
-    if fmt == "json":
-        _echo(_dumps(record))
-    else:
-        for line in lines:
-            _echo(line)
+def _lines(fmt: str, lines: list[str], record: dict) -> list[str]:
+    return [_dumps(record)] if fmt == "json" else lines
 
 
 def _spec_json(k: TorusKnotSpec) -> dict:
@@ -102,7 +101,7 @@ def alexander(knot: str, fmt: str):
 
     k = torusknot.parse_spec(knot)
     text = str(torusknot.alexander(k))
-    _emit(fmt, [text], {"knot": _spec_json(k), "genus": torusknot.genus(k), "alexander": text})
+    return _lines(fmt, [text], {"knot": _spec_json(k), "genus": torusknot.genus(k), "alexander": text})
 
 
 def apoly(knot: str, fmt: str):
@@ -111,7 +110,7 @@ def apoly(knot: str, fmt: str):
 
     k = torusknot.parse_spec(knot)
     text = str(torusknot.enhanced_apoly(k))
-    _emit(fmt, [text], {"knot": _spec_json(k), "apoly": text})
+    return _lines(fmt, [text], {"knot": _spec_json(k), "apoly": text})
 
 
 def newton(poly: str, fmt: str):
@@ -135,7 +134,7 @@ def newton(poly: str, fmt: str):
         "edge slopes: " + " ".join(slopes),
         "thinness: " + verdict,
     ]
-    _emit(fmt, lines, {
+    return _lines(fmt, lines, {
         "points": [list(p) for p in npg.lattice_points],
         "hull": [list(p) for p in npg.hull_vertices],
         "edge_slopes": slopes,
@@ -158,7 +157,7 @@ def detect(poly: str, degree: int | None, fmt: str):
         lines = ["no match"]
     else:
         lines = [*map(str, result.candidates), "unique" if result.unique else "ambiguous"]
-    _emit(fmt, lines, {
+    return _lines(fmt, lines, {
         "unknot": result.is_unknot,
         "unique": result.unique,
         "candidates": [_spec_json(k) for k in result.candidates],
@@ -198,7 +197,7 @@ def obstruct(a: int, b: int, w: int, companion: str):
 
     poly = _parse_companion(companion)
     check = satellite.torus_satellite_obstruction(a, b, w, poly)
-    _echo(_obstruction_line(a, b, w, _dumps(str(poly)), check))
+    return [_obstruction_line(a, b, w, _dumps(str(poly)), check)]
 
 
 def _coprime_pairs(limit: int):
@@ -239,15 +238,14 @@ def sweep_obstruct(a_max: int, companion_max: int):
             # the loop meets torus_satellite_obstruction's hypotheses
             # (a > b >= 2 coprime, w >= 1, w^2 | ab); a witness at genus h is
             # the one at genus 1 with its exponents raised by (h - 1)w, so
-            # winding_violation checks the row once and the row is one write
+            # winding_violation checks the row once
             check = satellite.winding_violation(a, b, w, 1)
-            _echo("\n".join(
-                _obstruction_line(a, b, w, label, check, (h - 1) * w) for label, h in companions
-            ))
+            for label, h in companions:
+                yield _obstruction_line(a, b, w, label, check, (h - 1) * w)
             total += len(companions)
     # every record is obstructed: w^2 | ab leaves w mod b nonzero
     summary = {"total": total, "obstructed": total, "config_impossible": 0, "not_obstructed": 0}
-    _echo(_dumps({"summary": summary}))
+    yield _dumps({"summary": summary})
 
 
 def sweep_thinness(limit: int):
@@ -255,32 +253,26 @@ def sweep_thinness(limit: int):
     a segment of slope ab."""
     from . import apolygon, torusknot
 
-    mismatches = 0
-
-    def lines():
-        nonlocal mismatches
-        total = 0
-        for big, small in _coprime_pairs(limit):
-            for a in (big, -big):
-                k = torusknot.TorusKnotSpec(a, small)
-                thin = apolygon.thinness(torusknot.enhanced_apoly(k))
-                expected = k.a * k.b
-                ok = thin.kind == "thin" and thin.slope == expected
-                total += 1
-                mismatches += 0 if ok else 1
-                yield _dumps(
-                    {
-                        "a": k.a,
-                        "b": k.b,
-                        "kind": thin.kind,
-                        "slope": None if thin.slope is None else str(thin.slope),
-                        "expected": str(expected),
-                        "ok": ok,
-                    }
-                )
-        yield _dumps({"summary": {"total": total, "mismatches": mismatches}})
-
-    _write_batched(lines())
+    total = mismatches = 0
+    for big, small in _coprime_pairs(limit):
+        for a in (big, -big):
+            k = torusknot.TorusKnotSpec(a, small)
+            thin = apolygon.thinness(torusknot.enhanced_apoly(k))
+            expected = k.a * k.b
+            ok = thin.kind == "thin" and thin.slope == expected
+            total += 1
+            mismatches += 0 if ok else 1
+            yield _dumps(
+                {
+                    "a": k.a,
+                    "b": k.b,
+                    "kind": thin.kind,
+                    "slope": None if thin.slope is None else str(thin.slope),
+                    "expected": str(expected),
+                    "ok": ok,
+                }
+            )
+    yield _dumps({"summary": {"total": total, "mismatches": mismatches}})
     return 1 if mismatches else 0
 
 
@@ -323,20 +315,15 @@ def glue_verify(count: int, seed: int, tolerance: float, case_kind: str = "all")
     kinds = CASE_KINDS if case_kind == "all" else (case_kind,)
     rng = Random(seed)
     failures = 0
-
-    def lines():
-        nonlocal failures
-        for kind in kinds:
-            for _ in range(count):
-                # looked up on repglue per record: the benchmark's tracer wraps them
-                inst = repglue.sample_instance(kind, rng)
-                ext = repglue.construct_extension(inst)
-                res = repglue.verify_extension(inst, ext, tolerance)
-                failures += 0 if res.ok else 1
-                yield _glue_line(kind, inst, ext, res)
-        yield _dumps({"summary": {"total": len(kinds) * count, "failed": failures}})
-
-    _write_batched(lines())
+    for kind in kinds:
+        for _ in range(count):
+            # looked up on repglue per record: the benchmark's tracer wraps them
+            inst = repglue.sample_instance(kind, rng)
+            ext = repglue.construct_extension(inst)
+            res = repglue.verify_extension(inst, ext, tolerance)
+            failures += 0 if res.ok else 1
+            yield _glue_line(kind, inst, ext, res)
+    yield _dumps({"summary": {"total": len(kinds) * count, "failed": failures}})
     return 1 if failures else 0
 
 
@@ -382,7 +369,7 @@ class _Main(SimpleNamespace):
         try:
             try:
                 # looked up per call: the benchmark's tracer wraps it
-                code = entry.callback(**vars(ns)) or 0
+                code = entry.callback(**vars(ns))
             except (ValueError, ArithmeticError, PredictionMismatch) as exc:
                 _echo(_dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}}))
                 code = 3 if isinstance(exc, PredictionMismatch) else 1
@@ -400,10 +387,14 @@ class _Main(SimpleNamespace):
 
 
 class _Leaf:
-    """A command: its function and {flag: add_argument keywords}; hashable, unlike a namespace."""
+    """A command: the function returning its lines (a list, or a generator that
+    returns the exit code) and {flag: add_argument keywords}; hashable, unlike a
+    namespace.  callback runs the command and writes its lines with _write, so
+    the benchmark's tracer, which wraps callback, times both."""
 
-    def __init__(self, callback, arguments: dict):
-        self.callback, self.arguments, self.doc = callback, arguments, callback.__doc__
+    def __init__(self, lines, arguments: dict):
+        self.callback = lambda **kw: _write(lines(**kw))
+        self.arguments, self.doc = arguments, lines.__doc__
 
 
 _TEXT_OR_JSON = _checked(str, ("text", "json").__contains__, "text or json")

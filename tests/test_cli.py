@@ -516,11 +516,13 @@ class TestSweeps:
             return real(*args)
 
         monkeypatch.setattr(satellite, "winding_violation", third_row_fails)
+        counts = writes(monkeypatch)
         r = run(argv)
         assert r.code == code and len(rows) == 3
         # two rows of 5 companions each, none of the third, then the error
         failed = {"error": {"kind": type(error).__name__, "detail": str(error)}}
         assert lines(r) == [*clean[:10], json.dumps(failed, separators=(",", ":"))]
+        assert counts == [10, 1]
         assert {(rec["a"], rec["b"], rec["w"]) for rec in map(json.loads, clean[:10])} == {
             row[:3] for row in rows[:2]
         }
@@ -710,12 +712,23 @@ class TestGlueVerify:
         assert lines(r) == [*clean[:149], error]
         assert counts == [100, 49, 1]
 
-    def test_records_and_summary_write_in_batches_of_100(self, run, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            # the summary is the 301st line, in a batch of its own
+            (["sweep", "glue", "--per-case", "100", "--seed", "3"], 301),
+            (["sweep", "thinness", "--max", "20"], 217),
+            (["sweep", "obstruct", "--a-max", "24", "--companion-max", "12"], 8501),
+            (["newton", "1 + M*L"], 4),
+        ],
+        ids=["glue", "thinness", "obstruct", "newton"],
+    )
+    def test_records_and_summary_write_in_batches_of_100(self, run, monkeypatch, argv, n):
         counts = writes(monkeypatch)
-        r = run(["sweep", "glue", "--per-case", "100", "--seed", "3"])
-        assert r.code == 0 and len(lines(r)) == 301
-        # the summary is the 301st line, in a batch of its own
-        assert counts == [100, 100, 100, 1]
+        r = run(argv)
+        assert r.code == 0 and len(lines(r)) == n
+        # every command's lines go out 100 to a write, the rest in one more
+        assert counts == [100] * (n // 100) + [n % 100] * (n % 100 > 0)
 
 
 class TestUsage:
@@ -862,6 +875,25 @@ class TestModuleEntry:
         with pytest.raises(AttributeError):
             knotpoly.no_such_name
 
+    def test_callback_writes_every_line_and_returns_the_code(self, run, capsysbinary):
+        # the benchmark's tracer times each leaf's callback: a command's work
+        # and its writes all happen inside that one call
+        def leaves(entry):
+            for sub in entry.commands.values():
+                yield from leaves(sub) if hasattr(sub, "commands") else (sub,)
+
+        called = set()
+        for argv, _ in COMMAND_IMPORTS[1:]:
+            entry, args = main, argv
+            while hasattr(entry, "commands"):
+                entry, args = entry.commands[args[0]], args[1:]
+            called.add(entry)
+            code = entry.callback(**vars(cli._parser("knotpoly", entry).parse_args(args)))
+            out = capsysbinary.readouterr().out
+            assert type(code) is int and out, argv
+            assert (code, out) == run(argv)[:2], argv
+        assert called == set(leaves(main))
+
     def test_docstring_examples_run(self):
         import doctest
         import importlib
@@ -1007,8 +1039,9 @@ class TestModuleEntry:
 
     @pytest.mark.parametrize(
         "args",
-        [["sweep", "glue", "--per-case", "2000"], ["sweep", "thinness", "--max", "60"]],
-        ids=["glue", "thinness"],
+        [["sweep", "glue", "--per-case", "2000"], ["sweep", "thinness", "--max", "60"],
+         ["sweep", "obstruct", "--a-max", "24", "--companion-max", "12"]],
+        ids=["glue", "thinness", "obstruct"],
     )
     def test_closed_stdout_ends_quietly_unbuffered(self, args):
         # with -u each batch of 100 records is a write straight to the pipe;
