@@ -24,13 +24,28 @@ class PredictionMismatch(RuntimeError):
 
 
 class _Frozen:
-    """Base of the immutable value types: a subclass lists its fields in __slots__ and
-    sets each once in __init__ with object.__setattr__, or, as Mat2C does, through its
-    slot descriptors' __set__, which skips the lookup by name.  Equality (same class,
-    equal _compared fields, all by default), hash, repr, copy and pickle read the fields."""
+    """Base of the immutable value types: a subclass lists its fields in __slots__,
+    and _Frozen.__init__(self, *values) is the one place that sets them, one value
+    per field in __slots__ order, each through its slot descriptor's __set__ (bound
+    once per class in _setters).  A subclass with defaults, keywords or checks keeps
+    its own __init__ and ends it with that call; Mat2C, the one type built in bulk,
+    unrolls it over Mat2C._setters.  Equality (same class, equal _compared fields,
+    all by default), hash, repr, copy and pickle read the fields."""
 
     __slots__ = ()
     _compared: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(setters)} field values, got {len(values)}"
+            )
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def _values(self, names: tuple[str, ...] | None = None) -> tuple:
         return tuple([getattr(self, name) for name in names or self.__slots__])

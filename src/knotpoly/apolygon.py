@@ -67,7 +67,7 @@ class BiPoly(_Frozen):
                 clean.pop(key, None)
         if clean and clean[min(clean)] < 0:
             clean = {k: -c for k, c in clean.items()}
-        object.__setattr__(self, "_terms", clean)
+        _Frozen.__init__(self, clean)
 
     @classmethod
     def parse(cls, text: str) -> "BiPoly":
@@ -120,11 +120,6 @@ class NewtonPolygon(_Frozen):
     """
 
     __slots__ = ("lattice_points", "hull_vertices", "edge_slopes")
-
-    def __init__(self, lattice_points: tuple, hull_vertices: tuple, edge_slopes: tuple):
-        object.__setattr__(self, "lattice_points", lattice_points)
-        object.__setattr__(self, "hull_vertices", hull_vertices)
-        object.__setattr__(self, "edge_slopes", edge_slopes)
 
 
 def _cross(o, a, b) -> int:
@@ -179,9 +174,7 @@ class ThinnessResult(_Frozen):
     __slots__ = ("kind", "slope", "infinite_slope")
 
     def __init__(self, kind: str, slope: Fraction | None = None, infinite_slope: bool = False):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "infinite_slope", infinite_slope)
+        _Frozen.__init__(self, kind, slope, infinite_slope)
 
 
 def thinness(f: BiPoly) -> ThinnessResult:
@@ -228,11 +221,6 @@ class DetectionResult(_Frozen):
     unique means the input pins down one knot (or the unknot)."""
 
     __slots__ = ("candidates", "unique", "is_unknot")
-
-    def __init__(self, candidates: tuple, unique: bool, is_unknot: bool):
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "unique", unique)
-        object.__setattr__(self, "is_unknot", is_unknot)
 
 
 def template_terms(l_degree: int, mirrored: bool, m_exp: int) -> dict:
@@ -282,13 +270,13 @@ def detect_with_degree(f: BiPoly, alexander_degree: int) -> DetectionResult:
     is always unique or empty because (|a|-1)(b-1) determines the pair."""
     if alexander_degree < 0:
         raise ValueError("degree must be nonnegative")
+    from .torusknot import genus  # loaded already by detect_torus_from_apoly
+
     base = detect_torus_from_apoly(f)
     if base.is_unknot:
         ok = alexander_degree == 0
         return DetectionResult((), ok, ok)
-    kept = tuple(
-        k for k in base.candidates if (abs(k.a) - 1) * (k.b - 1) == alexander_degree
-    )
+    kept = tuple(k for k in base.candidates if 2 * genus(k) == alexander_degree)
     return DetectionResult(kept, len(kept) == 1, False)
 
 

@@ -60,7 +60,7 @@ class LaurentPoly(_Frozen):
                 clean[e] = c
             else:
                 clean.pop(e, None)
-        object.__setattr__(self, "_terms", clean)
+        _Frozen.__init__(self, clean)
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
@@ -245,7 +245,7 @@ class LaurentPoly(_Frozen):
 def _raw(terms: dict[int, int]) -> LaurentPoly:
     # Internal fast path: terms dict is already clean (no zeros).
     poly = LaurentPoly.__new__(LaurentPoly)
-    object.__setattr__(poly, "_terms", terms)
+    _Frozen.__init__(poly, terms)
     return poly
 
 

@@ -58,9 +58,7 @@ class AdmissibilityReport(_Frozen):
         self, verdict: str, witness_exponent: int | None = None,
         witness_coefficients: tuple[tuple[int, int], ...] = (),
     ):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness_exponent", witness_exponent)
-        object.__setattr__(self, "witness_coefficients", witness_coefficients)
+        _Frozen.__init__(self, verdict, witness_exponent, witness_coefficients)
 
     @property
     def ok(self) -> bool:
@@ -99,11 +97,7 @@ class WindingCheck(_Frozen):
         self, kind: str, exponent: int | None = None, coefficient: int | None = None,
         exponent_pair: tuple[int, int] | None = None, coefficients: tuple[int, int] | None = None,
     ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "exponent_pair", exponent_pair)
-        object.__setattr__(self, "coefficients", coefficients)
+        _Frozen.__init__(self, kind, exponent, coefficient, exponent_pair, coefficients)
 
 
 def check_companion(companion: LaurentPoly) -> int:
@@ -148,8 +142,6 @@ def winding_violation(a: int, b: int, w: int, h: int) -> WindingCheck:
         raise ValueError(f"winding number must satisfy 1 <= w < a, got {w!r}")
     if not isinstance(h, int) or isinstance(h, bool) or h < 1:
         raise ValueError(f"companion genus must be an integer >= 1, got {h!r}")
-    g = (a - 1) * (b - 1) // 2
-
     r = w % b
     if r == 0:
         raise ValueError(f"w = {w} is a multiple of b = {b}: no residue witness")
@@ -159,6 +151,7 @@ def winding_violation(a: int, b: int, w: int, h: int) -> WindingCheck:
         )
 
     form = _closed_form(a, b)
+    g = form[2]
 
     def coefficient(e: int) -> int:
         # The companion's top two terms are +t^h and -t^(h-1): they are

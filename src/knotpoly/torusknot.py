@@ -49,8 +49,7 @@ class TorusKnotSpec(_Frozen):
             raise ValueError(f"parameters {a}, {b} are not coprime")
         if q < 2:
             raise ValueError("T(a, 1) is the unknot; both parameters need magnitude >= 2")
-        object.__setattr__(self, "a", sign * p)
-        object.__setattr__(self, "b", q)
+        _Frozen.__init__(self, sign * p, q)
 
     def __str__(self) -> str:
         return f"T({self.a},{self.b})"
@@ -66,7 +65,7 @@ def parse_spec(text: str) -> TorusKnotSpec:
 
 def genus(k: TorusKnotSpec) -> int:
     """Seifert genus (|a| - 1)(b - 1) / 2."""
-    return (abs(k.a) - 1) * (k.b - 1) // 2
+    return _closed_form(abs(k.a), k.b)[2]
 
 
 def _closed_form(p: int, q: int) -> tuple[int, int, int, int, int]:

@@ -221,6 +221,17 @@ class TestGlueInstance:
         with pytest.raises(ValueError):
             glue_instance(3, 1, 2, diag(2, 0.5), diag(0.25, 4))
 
+    @pytest.mark.parametrize("entry", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("matrix", ["mu", "lam"])
+    @pytest.mark.parametrize("kind", CASE_KINDS)
+    def test_rejects_nan_entry(self, kind, matrix, entry):
+        # every check is written "not x <= tol", which NaN fails
+        g = sample_instance(kind, Random(1))
+        pair = {"mu": g.mu, "lam": g.lam}
+        pair[matrix] = replace(pair[matrix], **{entry: math.nan})
+        with pytest.raises(ValueError):
+            glue_instance(g.p, g.q, g.w, pair["mu"], pair["lam"])
+
     def test_commutation_enforced(self):
         # the pair classifies as diagonal (lam.b is within DEFAULT_TOL), but
         # mu * lam and lam * mu differ by (10 - 0.1) * 9e-10 in the corner

@@ -3,20 +3,35 @@ and pickling, the same for every one of them."""
 
 import copy
 import pickle
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from knotpoly.apolygon import BiPoly, detect_torus_from_apoly, newton_polygon, thinness
+from knotpoly import _Frozen, apolygon, laurent, repglue, satellite, torusknot  # noqa: F401
+from knotpoly.apolygon import (
+    BiPoly,
+    ThinnessResult,
+    detect_torus_from_apoly,
+    newton_polygon,
+    thinness,
+)
 from knotpoly.laurent import LaurentPoly
 from knotpoly.repglue import (
     Extension,
     Mat2C,
+    PeripheralCase,
+    VerifyResult,
     construct_extension,
     sample_instance,
     verify_extension,
 )
-from knotpoly.satellite import lspace_admissible, winding_violation
+from knotpoly.satellite import (
+    AdmissibilityReport,
+    WindingCheck,
+    lspace_admissible,
+    winding_violation,
+)
 from knotpoly.torusknot import TorusKnotSpec, alexander
 
 TREFOIL = alexander(TorusKnotSpec(3, 2))
@@ -48,6 +63,68 @@ def fields(value):
 def test_one_instance_per_type():
     for name, value in ALL.items():
         assert type(value).__name__ == name
+
+
+def test_every_value_type_is_covered():
+    # all five submodules are loaded above, so every subclass is defined
+    assert sorted(cls.__name__ for cls in _Frozen.__subclasses__()) == sorted(ALL)
+
+
+# the types that take their fields positionally, through _Frozen.__init__
+POSITIONAL = [name for name in ALL if "__init__" not in type(ALL[name]).__dict__]
+
+
+def test_positional_types():
+    assert POSITIONAL == ["NewtonPolygon", "DetectionResult", "GlueInstance"]
+
+
+@pytest.mark.parametrize("name", POSITIONAL)
+def test_positional_types_take_one_value_per_field(name):
+    value = ALL[name]
+    cls, values = type(value), fields(value)
+    n = len(values)
+    with pytest.raises(TypeError, match=f"^{name} takes {n} field values, got {n - 1}$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=f"^{name} takes {n} field values, got {n + 1}$"):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(**dict(zip(value.__slots__, values)))
+
+
+# (type, positional arguments, keywords, every field) for the types that keep a
+# signature: the defaults and keywords their callers use
+SIGNATURE_CALLS = [
+    (PeripheralCase, ("diagonal",), {"alpha": 2j, "beta": 3j},
+     ("diagonal", 2j, 3j, 1, 1, 0j, 0j)),
+    (PeripheralCase, ("jordan_minus",), {"eps": -1, "eta": 1, "a_off": 1j, "b_off": 2j},
+     ("jordan_minus", 0j, 0j, -1, 1, 1j, 2j)),
+    (Extension, (Mat2C(1, 0, 0, 1), Mat2C(-1, 0, 0, -1), False, 0), {},
+     (Mat2C(1, 0, 0, 1), Mat2C(-1, 0, 0, -1), False, 0, None)),
+    (VerifyResult, (True, (0.0, 0.0, 0.0)), {}, (True, (0.0, 0.0, 0.0), None)),
+    (VerifyResult, (False, (1.0, 0.0, 0.0)), {"failed_equation": 1},
+     (False, (1.0, 0.0, 0.0), 1)),
+    (AdmissibilityReport, ("admissible",), {}, ("admissible", None, ())),
+    (WindingCheck, ("magnitude_violation",), {"exponent": 4, "coefficient": -2},
+     ("magnitude_violation", 4, -2, None, None)),
+    (WindingCheck, ("same_sign_violation",), {"exponent_pair": (5, 2), "coefficients": (1, 1)},
+     ("same_sign_violation", None, None, (5, 2), (1, 1))),
+    (ThinnessResult, ("point",), {}, ("point", None, False)),
+    (ThinnessResult, ("thin",), {"slope": Fraction(3, 2)}, ("thin", Fraction(3, 2), False)),
+    (ThinnessResult, ("not_thin",), {"infinite_slope": True}, ("not_thin", None, True)),
+    (LaurentPoly, (), {}, ({},)),
+    (BiPoly, (), {}, ({},)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, expected",
+    SIGNATURE_CALLS,
+    ids=[f"{c[0].__name__}-{'-'.join(c[2]) or len(c[1])}" for c in SIGNATURE_CALLS],
+)
+def test_signatures_keep_their_defaults_and_keywords(cls, args, kwargs, expected):
+    value = cls(*args, **kwargs)
+    assert fields(value) == expected
+    assert value == cls(*expected)
 
 
 @pytest.mark.parametrize(
