@@ -28,9 +28,8 @@ class _Frozen:
     and _Frozen.__init__(self, *values) is the one place that sets them, one value
     per field in __slots__ order, each through its slot descriptor's __set__ (bound
     once per class in _setters).  A subclass with defaults, keywords or checks keeps
-    its own __init__ and ends it with that call; Mat2C, the one type built in bulk,
-    unrolls it over Mat2C._setters.  Equality (same class, equal _compared fields,
-    all by default), hash, repr, copy and pickle read the fields."""
+    its own __init__ and ends it with that call.  Equality (same class, equal
+    _compared fields, all by default), hash, repr, copy and pickle read the fields."""
 
     __slots__ = ()
     _compared: tuple[str, ...] | None = None

@@ -45,15 +45,6 @@ class Mat2C(_Frozen):
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: complex, b: complex, c: complex, d: complex):
-        # _Frozen.__init__ unrolled over Mat2C._setters (bound below the
-        # class): one `sweep glue --per-case 2000` builds 62,000 Mat2C, and
-        # four straight calls took about half the time of its loop
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-        _set_d(self, d)
-
     @staticmethod
     def diagonal(x: complex, y: complex) -> "Mat2C":
         return Mat2C(x, 0, 0, y)
@@ -105,7 +96,7 @@ class Mat2C(_Frozen):
         return Mat2C(ra, rb, rc, rd)
 
     def dist(self, other: "Mat2C") -> float:
-        return max(
+        return _max_norm(
             abs(self.a - other.a),
             abs(self.b - other.b),
             abs(self.c - other.c),
@@ -113,7 +104,12 @@ class Mat2C(_Frozen):
         )
 
 
-_set_a, _set_b, _set_c, _set_d = Mat2C._setters
+def _max_norm(da: float, db: float, dc: float, dd: float) -> float:
+    """The largest of four entry distances, NaN when any of them is NaN
+    (max alone keeps a finite value over a later NaN)."""
+    if math.isnan(da + db + dc + dd):
+        return math.nan
+    return max(da, db, dc, dd)
 
 
 def _product(x: Mat2C, y: Mat2C) -> tuple[complex, complex, complex, complex]:
@@ -128,7 +124,7 @@ def _product(x: Mat2C, y: Mat2C) -> tuple[complex, complex, complex, complex]:
 
 def _entry_dist(x: tuple, y: tuple) -> float:
     """Mat2C.dist on entry tuples (a, b, c, d)."""
-    return max(
+    return _max_norm(
         abs(x[0] - y[0]),
         abs(x[1] - y[1]),
         abs(x[2] - y[2]),

@@ -143,6 +143,14 @@ class TestMat2C:
         assert Mat2C(2, 0, 0, 0.5).det() == 1
         assert diag(1, 1).dist(diag(1, 1 + 3e-4)) == pytest.approx(3e-4)
 
+    @pytest.mark.parametrize("entry", "abcd")
+    def test_dist_is_nan_when_any_entry_is(self, entry):
+        # a plain max would keep a finite distance over a later NaN
+        bad = replace(IDENTITY, **{entry: math.nan})
+        assert math.isnan(bad.dist(IDENTITY))
+        assert math.isnan(IDENTITY.dist(bad))
+        assert math.isnan(repglue._entry_dist((bad.a, bad.b, bad.c, bad.d), (1, 0, 0, 1)))
+
     def test_upper(self):
         m = Mat2C.upper(-1, 2)
         assert (m.a, m.b, m.c, m.d) == (-1, -2, 0, -1)
@@ -225,12 +233,21 @@ class TestGlueInstance:
     @pytest.mark.parametrize("matrix", ["mu", "lam"])
     @pytest.mark.parametrize("kind", CASE_KINDS)
     def test_rejects_nan_entry(self, kind, matrix, entry):
-        # every check is written "not x <= tol", which NaN fails
+        # a NaN entry makes the determinant NaN, which classify_case's
+        # "not x <= tol" rejects
         g = sample_instance(kind, Random(1))
         pair = {"mu": g.mu, "lam": g.lam}
         pair[matrix] = replace(pair[matrix], **{entry: math.nan})
         with pytest.raises(ValueError):
             glue_instance(g.p, g.q, g.w, pair["mu"], pair["lam"])
+
+    def test_rejects_commutator_that_overflows(self):
+        # mu lam and lam mu are both inf in entry b, so their difference
+        # there is NaN while the other three entries agree
+        big = Mat2C.upper(1, 1e308)
+        assert classify_case(big, big, w=1).kind == "jordan_plus"
+        with pytest.raises(ValueError, match="must commute"):
+            glue_instance(-1, 1, 1, big, big)
 
     def test_commutation_enforced(self):
         # the pair classifies as diagonal (lam.b is within DEFAULT_TOL), but
@@ -428,6 +445,19 @@ class TestPerturbation:
         res = verify_extension(g, mutated)
         assert res.ok is False
         assert res.failed_equation == 1
+
+    @pytest.mark.parametrize("entry", "abcd")
+    def test_nan_in_any_entry_fails_the_first_equation(self, entry):
+        # with w = 1, mu_p ** w keeps entry a finite unless the NaN is there
+        g = glue_instance(3, 1, 1, diag(2, 0.5), diag(0.125, 8))
+        e = construct_extension(g)
+        mutated = Extension(
+            replace(e.mu_p, **{entry: math.nan}), e.lam_p, e.central_twist_used, e.chosen_k
+        )
+        res = verify_extension(g, mutated)
+        assert res.ok is False
+        assert res.failed_equation == 1
+        assert math.isnan(res.residuals[0])
 
     def test_verify_rejects_impossible_tolerance(self):
         rng = Random(9)

@@ -75,7 +75,7 @@ POSITIONAL = [name for name in ALL if "__init__" not in type(ALL[name]).__dict__
 
 
 def test_positional_types():
-    assert POSITIONAL == ["NewtonPolygon", "DetectionResult", "GlueInstance"]
+    assert POSITIONAL == ["NewtonPolygon", "DetectionResult", "Mat2C", "GlueInstance"]
 
 
 @pytest.mark.parametrize("name", POSITIONAL)
