@@ -29,7 +29,8 @@ class _Frozen:
     per field in __slots__ order, each through its slot descriptor's __set__ (bound
     once per class in _setters).  A subclass with defaults, keywords or checks keeps
     its own __init__ and ends it with that call.  Equality (same class, equal
-    _compared fields, all by default), hash, repr, copy and pickle read the fields."""
+    _compared fields, all by default), hash, repr, copy and pickle read the fields.
+    LaurentPoly and BiPoly supply their own __hash__, since their one field is a dict."""
 
     __slots__ = ()
     _compared: tuple[str, ...] | None = None

@@ -103,9 +103,6 @@ class BiPoly(_Frozen):
             parts.append(("- " if c < 0 else "+ ") + "*".join(factors))
         return join_terms(parts)
 
-    def __repr__(self) -> str:
-        return f"BiPoly({dict(sorted(self._terms.items()))!r})"
-
 
 # ------- Newton polygon -------
 

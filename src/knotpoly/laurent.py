@@ -1,4 +1,4 @@
-"""Exact arithmetic for integer Laurent polynomials in one variable t.
+"""Integer Laurent polynomials in one variable t: exact products and quotients.
 
 A polynomial is stored sparsely as an exponent -> coefficient map with no
 zero coefficients, so equal values always have equal representations.
@@ -93,52 +93,16 @@ class LaurentPoly(_Frozen):
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self._terms == ({0: other} if other else {})
-        return NotImplemented
-
     def __hash__(self) -> int:
-        if self._terms.keys() <= {0}:
-            # A constant equals its int, so it must hash like it.
-            return hash(self._terms.get(0, 0))
         return hash(tuple(sorted(self._terms.items())))
 
     # ------- Ring operations -------
 
-    def __add__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            c = out.get(e, 0) + c
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
-        return _raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return _raw({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return -(self - other)
-
     def __mul__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int) or isinstance(other, bool):
+                return NotImplemented
+            other = LaurentPoly({0: other})
         out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -166,10 +130,7 @@ class LaurentPoly(_Frozen):
         coefficient) is forced.
         """
         if not isinstance(divisor, LaurentPoly):
-            coerced = _coerce(divisor)
-            if coerced is None:
-                raise TypeError(f"cannot divide by {divisor!r}")
-            divisor = coerced
+            raise TypeError(f"cannot divide by {divisor!r}")
         if not divisor:
             raise NonExactDivision("division by zero polynomial")
         if not self._terms:
@@ -238,20 +199,9 @@ class LaurentPoly(_Frozen):
             parts.append(("- " if c < 0 else "+ ") + body)
         return join_terms(parts)
 
-    def __repr__(self) -> str:
-        return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"
-
 
 def _raw(terms: dict[int, int]) -> LaurentPoly:
     # Internal fast path: terms dict is already clean (no zeros).
     poly = LaurentPoly.__new__(LaurentPoly)
     _Frozen.__init__(poly, terms)
     return poly
-
-
-def _coerce(value) -> LaurentPoly | None:
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return _raw({0: value} if value else {})
-    return None

@@ -78,14 +78,12 @@ class TestParse:
 
 
 class TestArithmetic:
-    @given(polys, polys)
-    def test_addition_commutes(self, f, g):
-        assert f + g == g + f
-
     @given(polys, polys, polys)
     @settings(max_examples=60)
     def test_multiplication_distributes(self, f, g, h):
-        assert f * (g + h) == f * g + f * h
+        # the constructor sums equal exponents, so this builds g + h
+        g_plus_h = LaurentPoly([*g.items(), *h.items()])
+        assert f * g_plus_h == LaurentPoly([*(f * g).items(), *(f * h).items()])
 
     @given(polys, polys, polys)
     @settings(max_examples=60)
@@ -93,15 +91,9 @@ class TestArithmetic:
         assert (f * g) * h == f * (g * h)
 
     @given(polys)
-    def test_additive_inverse(self, f):
-        assert f + (-f) == 0
-        assert f - f == 0
-
-    @given(polys)
     def test_units(self, f):
         assert f * LaurentPoly({0: 1}) == f
         assert f * 1 == f
-        assert f + 0 == f
         assert 0 * f == LaurentPoly({})
 
     @given(polys, polys)
@@ -111,14 +103,14 @@ class TestArithmetic:
 
     @given(polys, st.integers(min_value=-6, max_value=6))
     def test_int_coercion(self, f, n):
-        assert f + n == f + LaurentPoly({0: n})
-        assert n * f == LaurentPoly({0: n}) * f
-        assert n - f == LaurentPoly({0: n}) - f
+        assert n * f == LaurentPoly({0: n}) * f == f * n
 
     def test_incompatible_operand(self):
         f = LaurentPoly({0: 1})
         with pytest.raises(TypeError):
-            f + "x"
+            f * "x"
+        with pytest.raises(TypeError):
+            f.exact_divide(2)
 
 
 class TestStructure:
@@ -155,11 +147,10 @@ class TestStructure:
         assert hash(f) == hash(LaurentPoly(f.as_dict()))
 
     @given(st.integers())
-    def test_constant_hashes_like_its_int(self, n):
+    def test_constant_is_not_its_int(self, n):
         c = LaurentPoly({0: n})
-        assert c == n
-        assert hash(c) == hash(n)
-        assert len({c, n}) == 1
+        assert c != n and n != c
+        assert len({c, n}) == 2
 
 
 class TestExactDivide:
@@ -182,7 +173,7 @@ class TestExactDivide:
             LaurentPoly({0: 1}).exact_divide(LaurentPoly({}))
 
     def test_zero_dividend(self):
-        assert LaurentPoly({}).exact_divide(LaurentPoly({0: 1})) == 0
+        assert LaurentPoly({}).exact_divide(LaurentPoly({0: 1})) == LaurentPoly()
 
     def test_matches_dense_oracle(self):
         num = oracles.dense_mul(oracles.tpow_minus_one(15), oracles.tpow_minus_one(1))

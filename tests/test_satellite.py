@@ -47,7 +47,7 @@ class TestSatelliteAlexanderArguments:
 
     def test_rejects_negative_normalization(self):
         with pytest.raises(ValueError, match=r"^pattern polynomial must be positive at t = 1$"):
-            satellite_alexander(-TREFOIL, TREFOIL, 1)
+            satellite_alexander(LaurentPoly({1: -1, 0: 1, -1: -1}), TREFOIL, 1)
 
     def test_unknot_companion_allowed(self):
         assert satellite_alexander(TREFOIL, LaurentPoly({0: 1}), 5) == TREFOIL
