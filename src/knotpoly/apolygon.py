@@ -214,10 +214,15 @@ def coprime_factorizations(n: int) -> list[tuple[int, int]]:
 
 
 class DetectionResult(_Frozen):
-    """candidates lists every torus knot whose enhanced A-polynomial matches;
-    unique means the input pins down one knot (or the unknot)."""
+    """candidates lists every torus knot whose enhanced A-polynomial matches,
+    and is_unknot says the input is the unknot's; unique, read from the two,
+    means the input pins down one knot (or the unknot)."""
 
-    __slots__ = ("candidates", "unique", "is_unknot")
+    __slots__ = ("candidates", "is_unknot")
+
+    @property
+    def unique(self) -> bool:
+        return self.is_unknot or len(self.candidates) == 1
 
 
 def template_terms(l_degree: int, mirrored: bool, m_exp: int) -> dict:
@@ -239,9 +244,9 @@ def detect_torus_from_apoly(f: BiPoly) -> DetectionResult:
 
     terms = f.as_dict()
     if terms == {(0, 0): 1}:
-        return DetectionResult((), True, True)
+        return DetectionResult((), True)
     if len(terms) != 2:
-        return DetectionResult((), False, False)
+        return DetectionResult((), False)
     low, high = sorted(terms)
     for l_degree, mirrored in ((1, False), (1, True), (2, False), (2, True)):
         m_exp = low[1] if mirrored else high[1]
@@ -251,15 +256,15 @@ def detect_torus_from_apoly(f: BiPoly) -> DetectionResult:
         # the two-strand templates, which therefore pin the knot down.
         prod, rem = divmod(m_exp, l_degree)
         if rem or prod < 4:
-            return DetectionResult((), False, False)
+            return DetectionResult((), False)
         sign = -1 if mirrored else 1
         cands = tuple(
             TorusKnotSpec(sign * q, p)
             for p, q in coprime_factorizations(prod)
             if (p == 2) == (l_degree == 1)
         )
-        return DetectionResult(cands, len(cands) == 1, False)
-    return DetectionResult((), False, False)
+        return DetectionResult(cands, False)
+    return DetectionResult((), False)
 
 
 def detect_with_degree(f: BiPoly, alexander_degree: int) -> DetectionResult:
@@ -271,10 +276,9 @@ def detect_with_degree(f: BiPoly, alexander_degree: int) -> DetectionResult:
 
     base = detect_torus_from_apoly(f)
     if base.is_unknot:
-        ok = alexander_degree == 0
-        return DetectionResult((), ok, ok)
+        return DetectionResult((), alexander_degree == 0)
     kept = tuple(k for k in base.candidates if 2 * genus(k) == alexander_degree)
-    return DetectionResult(kept, len(kept) == 1, False)
+    return DetectionResult(kept, False)
 
 
 def detectability(k) -> bool:

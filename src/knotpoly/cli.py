@@ -293,10 +293,10 @@ def _glue_line(kind: str, inst, ext, res) -> str:
     A residual keeps its type: an int one (a Jordan power's entries stay
     int) prints as an int, as json prints it."""
     r1, r2, r3 = map(_json_number, res.residuals)
-    k = "null" if ext.chosen_k is None else ext.chosen_k
+    k = "null" if ext.polar is None else ext.polar["k"]
     line = (
         f'{{"case":"{kind}","p":{inst.p},"q":{inst.q},"w":{inst.w},"d":{inst.d},"k":{k},'
-        f'"central_twist":{_JSON_BOOL[ext.central_twist_used]},'
+        f'"central_twist":{_JSON_BOOL[kind == "jordan_minus"]},'
         f'"residuals":[{r1},{r2},{r3}],"ok":{_JSON_BOOL[res.ok]}'
     )
     if kind != "diagonal":

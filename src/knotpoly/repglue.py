@@ -132,26 +132,12 @@ def _entry_dist(x: tuple, y: tuple) -> float:
     )
 
 
-class PeripheralCase(_Frozen):
-    """Classification of the companion peripheral pair.
-
-    kind "diagonal" carries the eigenvalues alpha, beta of mu, lam;
-    the jordan kinds carry the signs eps, eta and the off-diagonal
-    parameters a_off, b_off of mu = eps*[[1, a], [0, 1]],
-    lam = eta*[[1, b], [0, 1]].
-    """
-
-    __slots__ = ("kind", "alpha", "beta", "eps", "eta", "a_off", "b_off")
-
-    def __init__(self, kind: str, alpha=0j, beta=0j, eps=1, eta=1, a_off=0j, b_off=0j):
-        _Frozen.__init__(self, kind, alpha, beta, eps, eta, a_off, b_off)
-
-
 class GlueInstance(_Frozen):
     """Surgery slope p/q, winding w and the companion peripheral pair
-    (mu, lam) with its classified case; d = gcd(q, w^2) is the denominator
-    of the surgered satellite slope.  Build it with glue_instance, which
-    checks the pair, or sample_instance."""
+    (mu, lam) with its case, the classify_case name that picks the
+    construction and the target of equation (1); d = gcd(q, w^2) is the
+    denominator of the surgered satellite slope.  Build it with
+    glue_instance, which checks the pair, or sample_instance."""
 
     __slots__ = ("p", "q", "w", "d", "mu", "lam", "case")
 
@@ -159,33 +145,40 @@ class GlueInstance(_Frozen):
 class Extension(_Frozen):
     """Constructed satellite peripheral images, unchecked until
     verify_extension computes their residuals.  A diagonal-case extension
-    keeps the diagonal_polar_data it was built from in polar."""
+    keeps the diagonal_polar_data it was built from (the root index k
+    among it) in polar; a Jordan-case one has polar None."""
 
-    __slots__ = ("mu_p", "lam_p", "central_twist_used", "chosen_k", "polar")
+    __slots__ = ("mu_p", "lam_p", "polar")
     # polar is derived from the instance, so it takes no part in equality,
     # and leaving the dict out keeps Extension hashable
-    _compared = ("mu_p", "lam_p", "central_twist_used", "chosen_k")
+    _compared = ("mu_p", "lam_p")
 
-    def __init__(
-        self, mu_p: Mat2C, lam_p: Mat2C, central_twist_used: bool, chosen_k: int | None,
-        polar: dict | None = None,
-    ):
-        _Frozen.__init__(self, mu_p, lam_p, central_twist_used, chosen_k, polar)
+    def __init__(self, mu_p: Mat2C, lam_p: Mat2C, polar: dict | None = None):
+        _Frozen.__init__(self, mu_p, lam_p, polar)
 
 
 class VerifyResult(_Frozen):
-    __slots__ = ("ok", "residuals", "failed_equation")
+    """The residuals of the three defining equations, and the first one
+    over the tolerance (None when every residual is within it)."""
 
-    def __init__(self, ok: bool, residuals: tuple[float, ...], failed_equation: int | None = None):
-        _Frozen.__init__(self, ok, residuals, failed_equation)
+    __slots__ = ("residuals", "failed_equation")
+
+    def __init__(self, residuals: tuple[float, ...], failed_equation: int | None = None):
+        _Frozen.__init__(self, residuals, failed_equation)
+
+    @property
+    def ok(self) -> bool:
+        return self.failed_equation is None
 
 
-def classify_case(mu: Mat2C, lam: Mat2C, w: int) -> PeripheralCase:
-    """Route a Jordan-form peripheral pair to its construction case.
+def classify_case(mu: Mat2C, lam: Mat2C, w: int) -> str:
+    """Route a Jordan-form peripheral pair to its construction case, one
+    of CASE_KINDS.
 
     diagonal: mu diagonal with eigenvalue away from +-1 (lam must be
     diagonal too).  jordan_plus: mu a Jordan block of eigenvalue +1, or of
     eigenvalue -1 with odd w.  jordan_minus: eigenvalue -1 with even w.
+    A Jordan case also needs lam's eigenvalue within DEFAULT_TOL of +-1.
     Anything else (mu = +-identity, lower-triangular or non-Jordan input,
     determinant away from 1) is rejected.  Shapes are compared at
     DEFAULT_TOL.
@@ -197,12 +190,11 @@ def classify_case(mu: Mat2C, lam: Mat2C, w: int) -> PeripheralCase:
     if not abs(mu.c) <= tol:
         raise ValueError("mu must be in (upper triangular) Jordan normal form")
     if abs(mu.b) <= tol:
-        alpha = mu.a
-        if abs(alpha - 1) <= tol or abs(alpha + 1) <= tol:
+        if abs(mu.a - 1) <= tol or abs(mu.a + 1) <= tol:
             raise ValueError("mu must not be the identity up to sign")
         if not abs(lam.b) <= tol or not abs(lam.c) <= tol:
             raise ValueError("lam must be diagonal when mu is diagonal")
-        return PeripheralCase("diagonal", alpha=alpha, beta=lam.a)
+        return "diagonal"
     if abs(mu.a - 1) <= tol:
         eps = 1
     elif abs(mu.a + 1) <= tol:
@@ -213,23 +205,18 @@ def classify_case(mu: Mat2C, lam: Mat2C, w: int) -> PeripheralCase:
         raise ValueError("mu must be in Jordan normal form")
     if not abs(lam.c) <= tol or not abs(lam.a - lam.d) <= tol:
         raise ValueError("lam must share mu's triangular Jordan shape")
-    if abs(lam.a - 1) <= tol:
-        eta = 1
-    elif abs(lam.a + 1) <= tol:
-        eta = -1
-    else:
+    if not (abs(lam.a - 1) <= tol or abs(lam.a + 1) <= tol):
         raise ValueError("lam must have eigenvalue +-1 when mu is a Jordan block")
-    a_off = mu.b / eps
-    b_off = lam.b / eta
-    if eps == 1 or w % 2 == 1:
-        return PeripheralCase("jordan_plus", eps=eps, eta=eta, a_off=a_off, b_off=b_off)
-    return PeripheralCase("jordan_minus", eps=eps, eta=eta, a_off=a_off, b_off=b_off)
+    return "jordan_plus" if eps == 1 or w % 2 == 1 else "jordan_minus"
 
 
 def glue_instance(p: int, q: int, w: int, mu: Mat2C, lam: Mat2C) -> GlueInstance:
     """Bundle slope, winding, and peripheral pair, checking at DEFAULT_TOL
     that the pair classifies (classify_case), commutes, and satisfies the
     defining relation mu^p * lam^q = identity."""
+    for part, value in (("numerator", p), ("denominator", q)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"slope {part} must be an integer, got {value!r}")
     if q < 1:
         raise ValueError(f"slope denominator must be positive, got {q!r}")
     if math.gcd(p, q) != 1:
@@ -258,12 +245,12 @@ def choose_k(m: int, p: int, d: int) -> int:
 
 def diagonal_polar_data(g: GlueInstance) -> dict:
     """Polar form (s, t, theta, phi), winding integer m of the relation
-    angle, and the chosen root index k for a diagonal-case instance."""
-    case = g.case
-    if case.kind != "diagonal":
+    angle, and the chosen root index k for a diagonal-case instance, whose
+    mu and lam have the eigenvalues alpha = mu.a and beta = lam.a."""
+    if g.case != "diagonal":
         raise ValueError("polar data only exists for the diagonal case")
-    s, theta = abs(case.alpha), cmath.phase(case.alpha)
-    t, phi = abs(case.beta), cmath.phase(case.beta)
+    s, theta = abs(g.mu.a), cmath.phase(g.mu.a)
+    t, phi = abs(g.lam.a), cmath.phase(g.lam.a)
     m_real = (g.p * theta + g.q * phi) / (2 * math.pi)
     m = round(m_real)
     if abs(m_real - m) > _ANGLE_TOL:
@@ -282,26 +269,27 @@ def diagonal_polar_data(g: GlueInstance) -> dict:
 
 def construct_extension(g: GlueInstance) -> Extension:
     """Build the satellite peripheral images for a classified instance.
+    A Jordan case, mu = eps*[[1, a], [0, 1]] and lam = eta*[[1, b], [0, 1]],
+    gives mu_P = eps*[[1, a/w], [0, 1]], its sign made 1 by the central
+    twist in the jordan_minus case, and lam_P = eta^w*[[1, b w], [0, 1]].
     Nothing is checked here; verify_extension does that."""
-    case = g.case
-    if case.kind == "diagonal":
+    if g.case == "diagonal":
         polar = diagonal_polar_data(g)
         k = polar["k"]
         eta_root = polar["s"] ** (1 / g.w) * cmath.exp(1j * (polar["theta"] + 2 * math.pi * k) / g.w)
         mu_p = Mat2C.diagonal(eta_root, 1 / eta_root)
-        lam_w = case.beta ** g.w
+        lam_w = g.lam.a ** g.w
         lam_p = Mat2C.diagonal(lam_w, 1 / lam_w)
-        twist = False
-    elif case.kind in ("jordan_plus", "jordan_minus"):
-        # jordan_minus has eps = -1 and even w: the central twist turns the
-        # sign of mu_p into 1, and eta^w is 1 already.
-        twist = case.kind == "jordan_minus"
-        mu_p = Mat2C.upper(1 if twist else case.eps, case.a_off / g.w)
-        lam_p = Mat2C.upper(case.eta ** g.w, case.b_off * g.w)
-        k = polar = None
+    elif g.case in ("jordan_plus", "jordan_minus"):
+        # classify_case put mu.a and lam.a within DEFAULT_TOL of eps, eta = +-1;
+        # jordan_minus has eps = -1 and even w, so eta^w is 1 already
+        eps, eta = round(g.mu.a.real), round(g.lam.a.real)
+        mu_p = Mat2C.upper(1 if g.case == "jordan_minus" else eps, g.mu.b / eps / g.w)
+        lam_p = Mat2C.upper(eta ** g.w, g.lam.b / eta * g.w)
+        polar = None
     else:
-        raise ValueError(f"unknown case kind {case.kind!r}")
-    return Extension(mu_p, lam_p, twist, k, polar)
+        raise ValueError(f"unknown case kind {g.case!r}")
+    return Extension(mu_p, lam_p, polar)
 
 
 def verify_extension(
@@ -309,9 +297,11 @@ def verify_extension(
 ) -> VerifyResult:
     """Compute the max-norm residuals of the three defining equations from
     the emitted matrices alone (binary-exponentiation powers) and compare
-    each to tol; a residual that is not <= tol (NaN included) fails.  This
-    is the only check of a constructed extension."""
-    mu_target = g.mu.scaled(-1) if e.central_twist_used else g.mu
+    each to tol; a residual that is not <= tol (NaN included) fails.  The
+    instance's case sets the target of equation (1): -mu in the
+    jordan_minus case (the central twist), mu otherwise.  This is the only
+    check of a constructed extension."""
+    mu_target = g.mu.scaled(-1) if g.case == "jordan_minus" else g.mu
     e1 = g.p * (g.w * g.w // g.d)
     e2 = g.q // g.d
     residuals = (
@@ -321,8 +311,8 @@ def verify_extension(
     )
     for i, r in enumerate(residuals, start=1):
         if not r <= tol:
-            return VerifyResult(False, residuals, failed_equation=i)
-    return VerifyResult(True, residuals)
+            return VerifyResult(residuals, i)
+    return VerifyResult(residuals)
 
 
 # ------- Randomized instance samplers -------

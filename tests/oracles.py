@@ -291,11 +291,11 @@ def instance_residuals_reference(mu, lam, p: int, q: int) -> tuple[float, float]
 
 def extension_residuals_reference(g, e) -> tuple[float, float, float]:
     """The three residuals of an extension e of instance g, from whole
-    matrices: (1) mu_P^w against mu (times -1 under the central twist),
-    (2) lam_P against lam^w, (3) mu_P^(p w^2 / d) * lam_P^(q / d) against
-    the identity; powers by binary_power_reference."""
+    matrices: (1) mu_P^w against mu (times -1 in the jordan_minus case, the
+    central twist), (2) lam_P against lam^w, (3) mu_P^(p w^2 / d) *
+    lam_P^(q / d) against the identity; powers by binary_power_reference."""
     mu = g.mu
-    if e.central_twist_used:
+    if g.case == "jordan_minus":
         mu = type(mu)(-1 * mu.a, -1 * mu.b, -1 * mu.c, -1 * mu.d)
     e1 = g.p * (g.w * g.w // g.d)
     e2 = g.q // g.d

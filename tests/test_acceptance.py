@@ -225,8 +225,6 @@ def test_criterion_9_glue_residuals_and_perturbations():
                     mutated = Extension(
                         mu_p=bumped if target == "mu_p" else e.mu_p,
                         lam_p=bumped if target == "lam_p" else e.lam_p,
-                        central_twist_used=e.central_twist_used,
-                        chosen_k=e.chosen_k,
                     )
                     total_perturbed += 1
                     if not verify_extension(g, mutated).ok:

@@ -331,3 +331,31 @@ class TestDetectability:
                     assert detectability(TorusKnotSpec(a, q)) == expected, (a, q)
                     checked += 1
         assert checked > 3000
+
+
+class TestFigureEightControl:
+    """A hyperbolic knot is no torus knot: the A-polynomial of the figure-eight
+    knot 4_1 (Cooper, Culler, Gillet, Long and Shalen, Invent. Math. 118,
+    1994), written M before L, matches no template."""
+
+    APOLY = "M^4*L^2 - M^8*L + M^6*L + 2*M^4*L + M^2*L - L + M^4"
+    # Hatcher and Thurston's boundary slopes of 4_1
+    BOUNDARY_SLOPES = {0, 4, -4}
+
+    def test_newton_polygon_slopes_are_boundary_slopes(self):
+        npg = newton_polygon(BiPoly.parse(self.APOLY))
+        assert npg.edge_slopes == (Fraction(-4), Fraction(4))
+        assert set(npg.edge_slopes) <= self.BOUNDARY_SLOPES
+        assert thinness(BiPoly.parse(self.APOLY)).kind == "not_thin"
+
+    def test_no_torus_knot_matches(self):
+        f = BiPoly.parse(self.APOLY)
+        for r in (detect_torus_from_apoly(f), detect_with_degree(f, 2)):
+            assert r.candidates == () and not r.is_unknot and not r.unique
+
+    def test_cli_text(self, run):
+        newton = run(["newton", self.APOLY])
+        assert newton.code == 0
+        assert b"edge slopes: -4 4\n" in newton.out and b"thinness: not_thin\n" in newton.out
+        for argv in (["detect", self.APOLY], ["detect", "--degree", "2", self.APOLY]):
+            assert run(argv) == (0, b"no match\n", b""), argv

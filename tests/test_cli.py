@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import knotpoly
-from knotpoly import cli, repglue, satellite
+from knotpoly import CASE_KINDS, cli, repglue, satellite
 from knotpoly.cli import main
 
 
@@ -336,19 +336,21 @@ class TestGlueLine:
         assert any(type(x) is int for line in out[:-1] for x in json.loads(line)["residuals"])
 
     def test_formatter_matches_json_dumps(self):
-        polar = {"s": 1.0, "t": 1e300, "theta": -0.0, "phi": -3.141592653589793, "m": -2, "k": 4}
-        for kind, k, twist, ok, residuals in itertools.product(
-            ["diagonal", "jordan_plus"],
-            [None, 0, 4],
-            [False, True],
-            [False, True],
+        for kind, k, failed, residuals in itertools.product(
+            CASE_KINDS,
+            [0, 4],
+            [None, 2],
             [(0, 0, 0.0), (-0.0, 1.5e-17, 0), (math.nan, math.inf, -math.inf)],
         ):
-            inst = repglue.GlueInstance(-9, 7, 6, 1, None, None, None)
-            ext = repglue.Extension(None, None, twist, k, polar if kind == "diagonal" else None)
-            res = repglue.VerifyResult(ok, residuals)
-            record = {"case": kind, "p": -9, "q": 7, "w": 6, "d": 1, "k": k, "central_twist": twist,
-                      "residuals": list(residuals), "ok": ok}
+            polar = {"s": 1.0, "t": 1e300, "theta": -0.0, "phi": -3.141592653589793, "m": -2, "k": k}
+            if kind != "diagonal":
+                polar = k = None
+            inst = repglue.GlueInstance(-9, 7, 6, 1, None, None, kind)
+            ext = repglue.Extension(None, None, polar)
+            res = repglue.VerifyResult(residuals, failed)
+            record = {"case": kind, "p": -9, "q": 7, "w": 6, "d": 1, "k": k,
+                      "central_twist": kind == "jordan_minus",
+                      "residuals": list(residuals), "ok": failed is None}
             if kind == "diagonal":
                 record["polar"] = {key: polar[key] for key in ("s", "t", "theta", "phi", "m")}
             line = cli._glue_line(kind, inst, ext, res)

@@ -14,7 +14,6 @@ from knotpoly.repglue import (
     Extension,
     GlueInstance,
     Mat2C,
-    PeripheralCase,
     choose_k,
     classify_case,
     construct_extension,
@@ -51,7 +50,7 @@ class TestMat2C:
         # the whole-matrix versions live in tests/oracles.py
         for name in ("__mul__", "inverse", "identity"):
             assert not hasattr(Mat2C, name), name
-        assert not hasattr(repglue.VerifyResult(True, (0.0, 0.0, 0.0)), "residual")
+        assert not hasattr(repglue.VerifyResult((0.0, 0.0, 0.0)), "residual")
 
     def test_pow(self):
         m = Mat2C(1, 1, 0, 1)
@@ -156,23 +155,37 @@ class TestMat2C:
         assert (m.a, m.b, m.c, m.d) == (-1, -2, 0, -1)
 
 
+def classified_extension(mu, lam, w):
+    """The case of (mu, lam) and the extension built for it; the slope
+    takes no part in these constructions, so the instance is built directly."""
+    case = classify_case(mu, lam, w)
+    return case, construct_extension(GlueInstance(1, 1, w, 1, mu, lam, case))
+
+
 class TestClassifyCase:
     def test_diagonal(self):
-        c = classify_case(diag(2, 0.5), diag(0.125, 8), w=3)
-        assert c.kind == "diagonal" and c.alpha == 2 and c.beta == 0.125
+        case, e = classified_extension(diag(2, 0.5), diag(0.125, 8), w=3)
+        # the eigenvalues alpha = 2 and beta = 0.125, read from mu and lam
+        assert case == "diagonal"
+        assert e.mu_p.a == 2 ** (1 / 3) and e.lam_p.a == 0.125 ** 3
 
     def test_jordan_plus_eps_positive(self):
-        c = classify_case(Mat2C(1, 2, 0, 1), Mat2C(1, -2, 0, 1), w=4)
-        assert c.kind == "jordan_plus" and c.eps == 1 and c.a_off == 2
+        case, e = classified_extension(Mat2C(1, 2, 0, 1), Mat2C(1, -2, 0, 1), w=4)
+        # eps = 1 and a_off = 2; eta = 1 and b_off = -2
+        assert case == "jordan_plus"
+        assert e.mu_p == Mat2C.upper(1, 2 / 4) and e.lam_p == Mat2C.upper(1, -2 * 4)
 
     def test_jordan_plus_eps_negative_odd_w(self):
-        c = classify_case(Mat2C(-1, -1, 0, -1), Mat2C(1, 1, 0, 1), w=3)
-        assert c.kind == "jordan_plus" and c.eps == -1 and c.a_off == 1
+        case, e = classified_extension(Mat2C(-1, -1, 0, -1), Mat2C(1, 1, 0, 1), w=3)
+        # eps = -1 and a_off = 1; eta = 1 and b_off = 1
+        assert case == "jordan_plus"
+        assert e.mu_p == Mat2C.upper(-1, 1 / 3) and e.lam_p == Mat2C.upper(1, 1 * 3)
 
     def test_jordan_minus_eps_negative_even_w(self):
-        c = classify_case(Mat2C(-1, 4, 0, -1), Mat2C(-1, -4, 0, -1), w=2)
-        assert c.kind == "jordan_minus" and c.eps == -1
-        assert c.a_off == -4 and c.eta == -1 and c.b_off == 4
+        case, e = classified_extension(Mat2C(-1, 4, 0, -1), Mat2C(-1, -4, 0, -1), w=2)
+        # eps = -1 and a_off = -4, mu_p's sign twisted to 1; eta = -1 and b_off = 4
+        assert case == "jordan_minus"
+        assert e.mu_p == Mat2C.upper(1, -4 / 2) and e.lam_p == Mat2C.upper((-1) ** 2, 4 * 2)
 
     def test_rejects_non_unit_determinant(self):
         with pytest.raises(ValueError):
@@ -225,6 +238,21 @@ class TestGlueInstance:
         with pytest.raises(ValueError):
             glue_instance(3, 1, 0, diag(2, 0.5), diag(0.125, 8))
 
+    @pytest.mark.parametrize("p, q, message", [
+        (1.0, 1, "slope numerator must be an integer, got 1.0"),
+        (True, 1, "slope numerator must be an integer, got True"),
+        ("1", 1, "slope numerator must be an integer, got '1'"),
+        (1, 1.0, "slope denominator must be an integer, got 1.0"),
+        (1, True, "slope denominator must be an integer, got True"),
+        (1, None, "slope denominator must be an integer, got None"),
+    ], ids=["float-p", "bool-p", "str-p", "float-q", "bool-q", "none-q"])
+    def test_rejects_slope_that_is_not_an_int(self, p, q, message):
+        # the slope 1/1 makes this pair a valid instance
+        assert glue_instance(1, 1, 1, diag(2, 0.5), diag(0.5, 2)).case == "diagonal"
+        with pytest.raises(ValueError) as err:
+            glue_instance(p, q, 1, diag(2, 0.5), diag(0.5, 2))
+        assert str(err.value) == message
+
     def test_rejects_broken_relation(self):
         with pytest.raises(ValueError):
             glue_instance(3, 1, 2, diag(2, 0.5), diag(0.25, 4))
@@ -245,7 +273,7 @@ class TestGlueInstance:
         # mu lam and lam mu are both inf in entry b, so their difference
         # there is NaN while the other three entries agree
         big = Mat2C.upper(1, 1e308)
-        assert classify_case(big, big, w=1).kind == "jordan_plus"
+        assert classify_case(big, big, w=1) == "jordan_plus"
         with pytest.raises(ValueError, match="must commute"):
             glue_instance(-1, 1, 1, big, big)
 
@@ -290,7 +318,7 @@ class TestWorkedExamples:
         root2 = math.sqrt(2)
         assert e.mu_p.dist(diag(root2, 1 / root2)) < 1e-15
         assert e.lam_p.dist(diag(1 / 64, 64)) < 1e-15
-        assert not e.central_twist_used
+        assert e.polar == data
         assert max(verify_extension(g, e).residuals) < 1e-12
         assert oracles.mat_product(e.mu_p ** 12, e.lam_p).dist(IDENTITY) < 1e-12
 
@@ -302,7 +330,7 @@ class TestWorkedExamples:
         e = construct_extension(g)
         assert e.mu_p.dist(Mat2C(1, 1, 0, 1)) < 1e-15
         assert e.lam_p.dist(Mat2C(1, -2, 0, 1)) < 1e-15
-        assert not e.central_twist_used
+        assert g.case == "jordan_plus" and e.polar is None
         assert oracles.mat_product(e.mu_p ** 2, e.lam_p).dist(IDENTITY) < 1e-15
 
     def test_jordan_minus_case(self):
@@ -311,7 +339,7 @@ class TestWorkedExamples:
         g = glue_instance(1, 1, 2, mu, lam)
         assert g.d == 1
         e = construct_extension(g)
-        assert e.central_twist_used
+        assert g.case == "jordan_minus" and e.polar is None
         assert e.mu_p.dist(Mat2C(1, 1, 0, 1)) < 1e-15
         assert e.lam_p.dist(Mat2C(1, -4, 0, 1)) < 1e-15
         assert oracles.mat_product(e.mu_p ** 4, e.lam_p).dist(IDENTITY) < 1e-15
@@ -328,8 +356,7 @@ class TestWorkedExamples:
         beta = 0.5 * cmath.exp(1e-4j)
         # the relation mu * lam = 1 is off by about 1e-4, past what
         # glue_instance accepts, so the instance is built directly
-        case = PeripheralCase("diagonal", alpha=alpha, beta=beta)
-        g = GlueInstance(1, 1, 1, 1, diag(alpha, 1 / alpha), diag(beta, 1 / beta), case)
+        g = GlueInstance(1, 1, 1, 1, diag(alpha, 1 / alpha), diag(beta, 1 / beta), "diagonal")
         with pytest.raises(ArithmeticError):
             diagonal_polar_data(g)
 
@@ -352,19 +379,19 @@ class TestRandomizedSweep:
         rng = Random(77)
         for _ in range(40):
             g = sample_instance("jordan_minus", rng)
-            assert g.w % 2 == 0
+            assert g.case == "jordan_minus" and g.mu.a == -1 and g.w % 2 == 0
             e = construct_extension(g)
-            assert e.central_twist_used and e.chosen_k is None
+            # the central twist gives mu_p the sign 1
+            assert e.mu_p.a == 1 and e.polar is None
         for _ in range(40):
             g = sample_instance("jordan_plus", rng)
-            case = g.case
-            assert case.eps == 1 or g.w % 2 == 1
+            assert g.case == "jordan_plus" and (g.mu.a == 1 or g.w % 2 == 1)
             e = construct_extension(g)
-            assert not e.central_twist_used
+            assert e.mu_p.a == g.mu.a and e.polar is None
         for _ in range(40):
             g = sample_instance("diagonal", rng)
             e = construct_extension(g)
-            assert e.chosen_k is not None and 0 <= e.chosen_k < g.d
+            assert 0 <= e.polar["k"] < g.d
 
     def test_sampler_determinism(self):
         a = [sample_instance("diagonal", Random(5)) for _ in range(1)][0]
@@ -377,11 +404,12 @@ class TestRandomizedSweep:
         d_parities = set()
         for _ in range(120):
             g = sample_instance("jordan_plus", rng)
-            case = g.case
+            eps, eta = g.mu.a, g.lam.a
+            assert eps in (1, -1) and eta in (1, -1)
             e1 = g.p * (g.w * g.w // g.d)
             e2 = g.w * (g.q // g.d)
-            sign = (case.eps ** abs(e1)) * (case.eta ** abs(e2))
-            assert sign == 1, (g.p, g.q, g.w, g.d, case.eps, case.eta)
+            sign = (eps ** abs(e1)) * (eta ** abs(e2))
+            assert sign == 1, (g.p, g.q, g.w, g.d, eps, eta)
             d_parities.add(g.d % 2)
         assert d_parities == {0, 1}
 
@@ -412,8 +440,6 @@ class TestPerturbation:
                     mutated = Extension(
                         mu_p=bumped if target == "mu_p" else e.mu_p,
                         lam_p=bumped if target == "lam_p" else e.lam_p,
-                        central_twist_used=e.central_twist_used,
-                        chosen_k=e.chosen_k,
                     )
                     res = verify_extension(g, mutated)
                     assert not res.ok, (kind, target, entry)
@@ -423,7 +449,7 @@ class TestPerturbation:
         g = glue_instance(3, 1, 2, diag(2, 0.5), diag(0.125, 8))
         e = construct_extension(g)
         bumped = replace(e.lam_p, d=e.lam_p.d + 1e-3)
-        mutated = Extension(e.mu_p, bumped, e.central_twist_used, e.chosen_k)
+        mutated = Extension(e.mu_p, bumped)
         res = verify_extension(g, mutated)
         assert not res.ok
         # both the longitude equation and the surgery relation go bad
@@ -434,14 +460,14 @@ class TestPerturbation:
         g = glue_instance(3, 1, 2, diag(2, 0.5), diag(0.125, 8))
         e = construct_extension(g)
         bumped = replace(e.lam_p, d=e.lam_p.d + 1e-3)
-        mutated = Extension(e.mu_p, bumped, e.central_twist_used, e.chosen_k)
+        mutated = Extension(e.mu_p, bumped)
         assert verify_extension(g, mutated, tol=1.0).ok
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_residual_fails(self, bad):
         g = glue_instance(3, 1, 2, diag(2, 0.5), diag(0.125, 8))
         e = construct_extension(g)
-        mutated = Extension(replace(e.mu_p, a=bad), e.lam_p, e.central_twist_used, e.chosen_k)
+        mutated = Extension(replace(e.mu_p, a=bad), e.lam_p)
         res = verify_extension(g, mutated)
         assert res.ok is False
         assert res.failed_equation == 1
@@ -451,13 +477,24 @@ class TestPerturbation:
         # with w = 1, mu_p ** w keeps entry a finite unless the NaN is there
         g = glue_instance(3, 1, 1, diag(2, 0.5), diag(0.125, 8))
         e = construct_extension(g)
-        mutated = Extension(
-            replace(e.mu_p, **{entry: math.nan}), e.lam_p, e.central_twist_used, e.chosen_k
-        )
+        mutated = Extension(replace(e.mu_p, **{entry: math.nan}), e.lam_p)
         res = verify_extension(g, mutated)
         assert res.ok is False
         assert res.failed_equation == 1
         assert math.isnan(res.residuals[0])
+
+    def test_jordan_minus_target_is_set_by_the_case(self):
+        # mu_p = e^(i pi / w) [[1, a/w], [0, 1]] has mu_p^w = mu, not the -mu
+        # that equation (1) asks for under the central twist
+        rng = Random(8)
+        for _ in range(20):
+            g = sample_instance("jordan_minus", rng)
+            e = construct_extension(g)
+            untwisted = Mat2C.upper(cmath.exp(1j * math.pi / g.w), -g.mu.b / g.w)
+            assert (untwisted ** g.w).dist(g.mu) < 1e-12
+            res = verify_extension(g, Extension(untwisted, e.lam_p))
+            assert res.failed_equation == 1 and not res.ok
+            assert verify_extension(g, e).ok
 
     def test_verify_rejects_impossible_tolerance(self):
         rng = Random(9)
@@ -509,9 +546,7 @@ class TestResidualsMatchReference:
             expected = oracles.instance_residuals_reference(g.mu, g.lam, g.p, g.q)
             assert list(map(repr, seen)) == list(map(repr, expected)), g
             e = construct_extension(g)
-            bumped = Extension(
-                e.mu_p, replace(e.lam_p, d=e.lam_p.d + 1e-3), e.central_twist_used, e.chosen_k
-            )
+            bumped = Extension(e.mu_p, replace(e.lam_p, d=e.lam_p.d + 1e-3))
             for ext in (e, bumped):
                 got = verify_extension(g, ext).residuals
                 expected = oracles.extension_residuals_reference(g, ext)
@@ -563,7 +598,7 @@ class TestResidualsMatchReference:
         while g.p >= 0:
             g = sample_instance("jordan_plus", rng)
         e = construct_extension(g)
-        singular = Extension(Mat2C(1, 2, 2, 4), e.lam_p, e.central_twist_used, e.chosen_k)
+        singular = Extension(Mat2C(1, 2, 2, 4), e.lam_p)
         with pytest.raises(ZeroDivisionError):
             oracles.extension_residuals_reference(g, singular)
         with pytest.raises(ZeroDivisionError):

@@ -11,6 +11,7 @@ import pytest
 from knotpoly import _Frozen, apolygon, laurent, repglue, satellite, torusknot  # noqa: F401
 from knotpoly.apolygon import (
     BiPoly,
+    DetectionResult,
     ThinnessResult,
     detect_torus_from_apoly,
     newton_polygon,
@@ -20,7 +21,6 @@ from knotpoly.laurent import LaurentPoly
 from knotpoly.repglue import (
     Extension,
     Mat2C,
-    PeripheralCase,
     VerifyResult,
     construct_extension,
     sample_instance,
@@ -50,7 +50,6 @@ ALL = {
     "AdmissibilityReport": lspace_admissible(TREFOIL * TREFOIL),
     "WindingCheck": winding_violation(7, 2, 3, 1),
     "Mat2C": Mat2C(1, 2j, -0.5, 4),
-    "PeripheralCase": GLUE.case,
     "GlueInstance": GLUE,
     "Extension": EXTENSION,
     "VerifyResult": verify_extension(GLUE, EXTENSION),
@@ -95,15 +94,10 @@ def test_positional_types_take_one_value_per_field(name):
 # (type, positional arguments, keywords, every field) for the types that keep a
 # signature: the defaults and keywords their callers use
 SIGNATURE_CALLS = [
-    (PeripheralCase, ("diagonal",), {"alpha": 2j, "beta": 3j},
-     ("diagonal", 2j, 3j, 1, 1, 0j, 0j)),
-    (PeripheralCase, ("jordan_minus",), {"eps": -1, "eta": 1, "a_off": 1j, "b_off": 2j},
-     ("jordan_minus", 0j, 0j, -1, 1, 1j, 2j)),
-    (Extension, (Mat2C(1, 0, 0, 1), Mat2C(-1, 0, 0, -1), False, 0), {},
-     (Mat2C(1, 0, 0, 1), Mat2C(-1, 0, 0, -1), False, 0, None)),
-    (VerifyResult, (True, (0.0, 0.0, 0.0)), {}, (True, (0.0, 0.0, 0.0), None)),
-    (VerifyResult, (False, (1.0, 0.0, 0.0)), {"failed_equation": 1},
-     (False, (1.0, 0.0, 0.0), 1)),
+    (Extension, (Mat2C(1, 0, 0, 1), Mat2C(-1, 0, 0, -1)), {},
+     (Mat2C(1, 0, 0, 1), Mat2C(-1, 0, 0, -1), None)),
+    (VerifyResult, ((0.0, 0.0, 0.0),), {}, ((0.0, 0.0, 0.0), None)),
+    (VerifyResult, ((1.0, 0.0, 0.0),), {"failed_equation": 1}, ((1.0, 0.0, 0.0), 1)),
     (AdmissibilityReport, ("admissible",), {}, ("admissible", None, ())),
     (WindingCheck, ("magnitude_violation",), {"exponent": 4, "coefficient": -2},
      ("magnitude_violation", 4, -2, None, None)),
@@ -188,9 +182,26 @@ def test_a_changed_field_breaks_equality():
 def test_extension_equality_ignores_polar():
     e = EXTENSION
     assert e.polar is not None
-    bare = Extension(e.mu_p, e.lam_p, e.central_twist_used, e.chosen_k)
+    bare = Extension(e.mu_p, e.lam_p)
     assert bare.polar is None
     assert bare == e and hash(bare) == hash(e)
-    other = Extension(e.mu_p, e.lam_p, e.central_twist_used, e.chosen_k, {"k": -1})
+    other = Extension(e.mu_p, e.lam_p, {"k": -1})
     assert other == e and hash(other) == hash(e)
-    assert Extension(e.mu_p, e.lam_p, not e.central_twist_used, e.chosen_k) != e
+    assert Extension(e.mu_p, e.lam_p.scaled(-1)) != e
+
+
+def test_verify_ok_is_read_from_failed_equation():
+    residuals = (0.0, 2.0, 0.0)
+    assert VerifyResult(residuals).ok
+    for n in (1, 2, 3):
+        assert not VerifyResult(residuals, n).ok
+    assert "ok" not in VerifyResult.__slots__
+
+
+def test_detection_unique_is_read_from_candidates_and_unknot():
+    one, two = (TorusKnotSpec(3, 2),), (TorusKnotSpec(10, 3), TorusKnotSpec(6, 5))
+    assert DetectionResult((), True).unique
+    assert DetectionResult(one, False).unique
+    assert not DetectionResult((), False).unique
+    assert not DetectionResult(two, False).unique
+    assert "unique" not in DetectionResult.__slots__
