@@ -120,7 +120,6 @@ _EXPORTS = {
     ),
     "laurent": ("LaurentPoly", "NonExactDivision", "NotSymmetrizable"),
     "repglue": (
-        "DEFAULT_TOL",
         "Extension",
         "GlueInstance",
         "Mat2C",
@@ -135,8 +134,6 @@ _EXPORTS = {
     ),
     "satellite": (
         "AdmissibilityReport",
-        "PredictionMismatch",
-        "WindingCheck",
         "check_companion",
         "lspace_admissible",
         "satellite_alexander",
@@ -167,6 +164,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [*_HOME, "__version__"]
+__all__ = [*_HOME, "DEFAULT_TOL", "PredictionMismatch", "__version__"]
 
 __version__ = "0.1.0"

@@ -269,7 +269,10 @@ def detect_torus_from_apoly(f: BiPoly) -> DetectionResult:
 
 def detect_with_degree(f: BiPoly, alexander_degree: int) -> DetectionResult:
     """Detection refined by the Alexander polynomial degree 2g; the answer
-    is always unique or empty because (|a|-1)(b-1) determines the pair."""
+    is always unique or empty because (|a|-1)(b-1) determines the pair.
+    Raises ValueError unless alexander_degree is an int (not a bool) >= 0."""
+    if not isinstance(alexander_degree, int) or isinstance(alexander_degree, bool):
+        raise ValueError(f"degree must be an integer, got {alexander_degree!r}")
     if alexander_degree < 0:
         raise ValueError("degree must be nonnegative")
     from .torusknot import genus  # loaded already by detect_torus_from_apoly

@@ -39,7 +39,6 @@ from . import CASE_KINDS, DEFAULT_TOL, PredictionMismatch  # the package base lo
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
 if TYPE_CHECKING:
     from .laurent import LaurentPoly
-    from .satellite import WindingCheck
     from .torusknot import TorusKnotSpec
 
 FORMAT_ENV = "KNOTPOLY_FORMAT"
@@ -174,20 +173,21 @@ def _parse_companion(text: str) -> LaurentPoly:
     return LaurentPoly.parse(text)
 
 
-def _obstruction_line(
-    a: int, b: int, w: int, label_json: str, check: WindingCheck, shift: int = 0
-) -> str:
-    """The obstructed record _dumps would write, keys in the same order and
-    every witness exponent raised by shift; label_json is the companion
-    label already encoded by _dumps, and an int prints as json prints it."""
-    if check.kind == "magnitude_violation":
-        witness = f'"exponent":{check.exponent + shift},"coefficient":{check.coefficient}'
+def _obstruction_line(a: int, b: int, w: int, label_json: str, check, shift: int = 0) -> str:
+    """The obstructed record _dumps would write for check, a winding_violation
+    report, keys in the same order and every witness exponent raised by
+    shift; label_json is the companion label already encoded by _dumps, and
+    an int prints as json prints it."""
+    if check.verdict == "fails_magnitude":
+        ((e, c),) = check.witness
+        witness = f'"magnitude_violation","exponent":{e + shift},"coefficient":{c}'
     else:
-        (e1, e2), (c1, c2) = check.exponent_pair, check.coefficients
-        witness = f'"exponents":[{e1 + shift},{e2 + shift}],"coefficients":[{c1},{c2}]'
+        (e1, c1), (e2, c2) = check.witness
+        witness = (f'"same_sign_violation","exponents":[{e1 + shift},{e2 + shift}],'
+                   f'"coefficients":[{c1},{c2}]')
     return (
         f'{{"a":{a},"b":{b},"w":{w},"companion":{label_json},"verdict":"obstructed",'
-        f'"witness":{{"kind":"{check.kind}",{witness}}}}}'
+        f'"witness":{{"kind":{witness}}}}}'
     )
 
 

@@ -49,16 +49,10 @@ def satellite_alexander(pattern: LaurentPoly, companion: LaurentPoly, w: int) ->
 
 class AdmissibilityReport(_Frozen):
     """verdict is admissible, fails_magnitude, fails_alternation, or
-    fails_top_two; failures carry the offending exponent(s) with their
-    coefficients, highest exponent first."""
+    fails_top_two; witness holds a failure's (exponent, coefficient) terms,
+    highest exponent first, and is () for an admissible polynomial."""
 
-    __slots__ = ("verdict", "witness_exponent", "witness_coefficients")
-
-    def __init__(
-        self, verdict: str, witness_exponent: int | None = None,
-        witness_coefficients: tuple[tuple[int, int], ...] = (),
-    ):
-        _Frozen.__init__(self, verdict, witness_exponent, witness_coefficients)
+    __slots__ = ("verdict", "witness")
 
     @property
     def ok(self) -> bool:
@@ -68,36 +62,25 @@ class AdmissibilityReport(_Frozen):
 def lspace_admissible(f: LaurentPoly) -> AdmissibilityReport:
     """Scan a symmetrized polynomial against the three L-space coefficient
     conditions, reporting the first violation met going down from the top
-    exponent."""
+    exponent: fails_top_two with the top two terms, fails_magnitude with the
+    term of magnitude >= 2, or fails_alternation with the same-sign pair of
+    consecutive nonzero terms."""
     _require_symmetrized(f, "input")
     g = f.span()[1]
     c_top = f.coefficient(g)
     if g >= 1 and abs(c_top) < 2 and f.coefficient(g - 1) == 0:
-        return AdmissibilityReport("fails_top_two", g, ((g, c_top), (g - 1, 0)))
+        return AdmissibilityReport("fails_top_two", ((g, c_top), (g - 1, 0)))
     prev = None
     for e, c in f.items():
         if abs(c) >= 2:
-            return AdmissibilityReport("fails_magnitude", e, ((e, c),))
+            return AdmissibilityReport("fails_magnitude", ((e, c),))
         if prev is not None and (c > 0) == (prev[1] > 0):
-            return AdmissibilityReport("fails_alternation", prev[0], (prev, (e, c)))
+            return AdmissibilityReport("fails_alternation", (prev, (e, c)))
         prev = (e, c)
-    return AdmissibilityReport("admissible")
+    return AdmissibilityReport("admissible", ())
 
 
 # ------- Residue-class violations for torus-pattern satellites -------
-
-
-class WindingCheck(_Frozen):
-    """kind is magnitude_violation (exponent, coefficient) or
-    same_sign_violation (exponent pair, coefficients, higher first)."""
-
-    __slots__ = ("kind", "exponent", "coefficient", "exponent_pair", "coefficients")
-
-    def __init__(
-        self, kind: str, exponent: int | None = None, coefficient: int | None = None,
-        exponent_pair: tuple[int, int] | None = None, coefficients: tuple[int, int] | None = None,
-    ):
-        _Frozen.__init__(self, kind, exponent, coefficient, exponent_pair, coefficients)
 
 
 def check_companion(companion: LaurentPoly) -> int:
@@ -115,23 +98,25 @@ def check_companion(companion: LaurentPoly) -> int:
     return h
 
 
-def winding_violation(a: int, b: int, w: int, h: int) -> WindingCheck:
-    """Locate the admissibility violation that the residue of w mod b
-    forces in alexander(T(a, b))(t) * companion(t^w), for every admissible
-    companion of genus h (check_companion returns it).
+def winding_violation(a: int, b: int, w: int, h: int) -> AdmissibilityReport:
+    """The AdmissibilityReport that lspace_admissible gives for
+    alexander(T(a, b))(t) * companion(t^w), for every admissible companion
+    of genus h (check_companion returns it), without building the product.
+    With top = g + hw the product's top exponent, the residue of w mod b
+    forces fails_magnitude at top - w when it is 1, and otherwise
+    fails_alternation at top - (w // b)b - 1 and top - w.
 
-    Every witness lies in the window [top - w, top] below the product's
-    top exponent top = g + hw, where only the companion's top two terms
-    t^h - t^(h-1) reach; each witness coefficient is a difference of two
-    pattern coefficients, read in O(1) as torus_coefficient does, from
-    Lam and Leung's closed form computed once per call, so a record costs
-    O(w mod b) whatever the size of the pattern or the companion.  Any
-    disagreement raises PredictionMismatch.
+    Every witness lies in the window [top - w, top], where only the
+    companion's top two terms t^h - t^(h-1) reach; each witness coefficient
+    is a difference of two pattern coefficients, read in O(1) as
+    torus_coefficient does, from Lam and Leung's closed form computed once
+    per call, so a record costs O(w mod b) whatever the size of the pattern
+    or the companion.  Any disagreement raises PredictionMismatch.
     The genus drops out of every coefficient: at exponent e + (h - 1)w,
     genus h reads the pattern where genus 1 reads it at e.  So
     winding_violation(a, b, w, h) is winding_violation(a, b, w, 1) with
-    every exponent raised by (h - 1)w, its kind and coefficients the same,
-    and sweep obstruct checks one witness per (a, b, w).
+    every exponent raised by (h - 1)w, its verdict and coefficients the
+    same, and sweep obstruct checks one witness per (a, b, w).
     Requires a > b >= 2 coprime, 1 <= w < a, and an integer h >= 1,
     checked in that order.  Raises ValueError when b divides w, where no
     residue witness exists, and when the same-sign gap would span more
@@ -167,7 +152,7 @@ def winding_violation(a: int, b: int, w: int, h: int) -> WindingCheck:
             raise PredictionMismatch(
                 f"expected a coefficient of magnitude 2 at exponent {e}, found {c}"
             )
-        return WindingCheck("magnitude_violation", exponent=e, coefficient=c)
+        return AdmissibilityReport("fails_magnitude", ((e, c),))
     e1 = g + h * w - (w // b) * b - 1
     e2 = g + h * w - w
     c1 = coefficient(e1)
@@ -180,20 +165,18 @@ def winding_violation(a: int, b: int, w: int, h: int) -> WindingCheck:
         raise PredictionMismatch(
             f"expected no nonzero coefficients strictly between {e2} and {e1}"
         )
-    return WindingCheck(
-        "same_sign_violation", exponent_pair=(e1, e2), coefficients=(c1, c2)
-    )
+    return AdmissibilityReport("fails_alternation", ((e1, c1), (e2, c2)))
 
 
-def torus_satellite_obstruction(a: int, b: int, w: int, companion: LaurentPoly) -> WindingCheck:
+def torus_satellite_obstruction(a: int, b: int, w: int, companion: LaurentPoly) -> AdmissibilityReport:
     """Decide whether a winding-w satellite with pattern T(a, b) and the
     given companion polynomial is obstructed from instanton L-space
     surgeries, under the divisibility hypothesis w^2 | ab.
 
-    Returns the WindingCheck of winding_violation, which reads each witness
-    coefficient in O(1) from the pattern's closed form: every such
+    Returns the AdmissibilityReport of winding_violation, which reads each
+    witness coefficient in O(1) from the pattern's closed form: every such
     satellite is obstructed, since w^2 | ab leaves w mod b nonzero, and the
-    kind names the violated condition.  check_companion checks the
+    verdict names the violated condition.  check_companion checks the
     companion after the pattern, w and w^2 | ab."""
     _check_pattern(a, b)
     if not isinstance(w, int) or isinstance(w, bool) or w < 1:

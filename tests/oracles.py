@@ -443,6 +443,46 @@ def torus_apoly_oracle(a: int, b: int) -> tuple[dict[tuple[int, int], int], floa
     return poly, worst
 
 
+def figure_eight_reps(meridians):
+    """Non-abelian SL(2,C) representations of the figure-eight knot group
+    <x, y | w x = y w>, w = x^-1 y x y^-1, in Riley's normal form (Riley,
+    "Nonabelian representations of 2-bridge knot groups", Quart. J. Math. 35,
+    1984): rho(x) = [[M, 1], [0, 1/M]] and rho(y) = [[M, 0], [u, 1/M]].
+    Yields (M, L, residual) for each M in meridians and both roots u.
+
+    The relation holds exactly when u is a root of the Riley polynomial
+    u^2 + (M^2 + M^-2 - 3)u + 3 - M^2 - M^-2, solved here by the quadratic
+    formula.  The longitude w~ w, with w~ = y^-1 x y x^-1 the word w
+    reversed, commutes with x, so rho(w~ w) is upper triangular and its
+    (1, 1) entry L is the longitude's eigenvalue on the eigenvector where
+    the meridian's is M.  residual is the larger of the relation's
+    |rho(w x) - rho(y w)| / (|rho(w)| |rho(x)|) and rho(w~ w)'s lower-left
+    entry over its largest one (max-entry norms): both 0 in exact arithmetic.
+    """
+    for m in meridians:
+        s = m * m + 1 / (m * m)
+        root = cmath.sqrt((s - 3) ** 2 - 4 * (3 - s))
+        for u in ((3 - s + root) / 2, (3 - s - root) / 2):
+            x, y = _Mat(m, 1, 0, 1 / m), _Mat(m, 0, u, 1 / m)
+            x_inv, y_inv = mat_inverse(x), mat_inverse(y)
+            w = mat_product(mat_product(mat_product(x_inv, y), x), y_inv)
+            w_rev = mat_product(mat_product(mat_product(y_inv, x), y), x_inv)
+            lon = mat_product(w_rev, w)
+            relation = mat_dist(mat_product(w, x), mat_product(y, w))
+            residual = max(
+                relation / (max(map(abs, w)) * max(map(abs, x))),
+                abs(lon.c) / max(map(abs, lon)),
+            )
+            yield m, lon.a, residual
+
+
+def relative_value(terms: dict[tuple[int, int], int], l: complex, m: complex) -> float:
+    """|A(L, M)| over the sum of its terms' sizes |c| |L|^i |M|^j, for A
+    given as {(i, j): c}, the L-exponent first: 0 on the curve A = 0."""
+    value = sum(c * l**i * m**j for (i, j), c in terms.items())
+    return abs(value) / sum(abs(c) * abs(l) ** i * abs(m) ** j for (i, j), c in terms.items())
+
+
 def _selftest() -> None:
     assert torus_alexander_oracle(3, 2) == {1: 1, 0: -1, -1: 1}
     assert torus_alexander_oracle(5, 2) == {2: 1, 1: -1, 0: 1, -1: -1, -2: 1}
@@ -473,6 +513,10 @@ def _selftest() -> None:
     ]
     assert torus_apoly_oracle(3, 2)[0] == {(0, 0): 1, (1, 6): 1}
     assert torus_apoly_oracle(-5, 3)[0] == {(2, 0): 1, (0, 30): -1}
+    # at M = 1 (the complete hyperbolic structure) the longitude is -1
+    for _, l, residual in figure_eight_reps([1]):
+        assert residual < 1e-12 and abs(l + 1) < 1e-12
+    assert relative_value({(2, 0): 1, (0, 1): -4}, 2, 1) == 0
     print("oracle selftest passed")
 
 

@@ -109,36 +109,26 @@ def test_criterion_4_winding_witness_machine_check():
         g = genus(TorusKnotSpec(a, b))
         pattern = alexander(TorusKnotSpec(a, b))
         for w in range(1, a):
-            r = w % b
             for cp, cq, comp, h in companions:
                 scan = lspace_admissible(satellite_alexander(pattern, comp, w))
                 top = g + h * w
-                if r == 0:
+                if w % b == 0:
                     # no residue witness exists, and the product is admissible
                     with pytest.raises(ValueError, match="no residue witness"):
                         winding_violation(a, b, w, h)
                     if not scan.ok:
                         failures.append((a, b, w, cp, cq, "refused", scan.verdict))
                     continue
+                # the prediction is the scan's whole report: the verdict, and
+                # every witness exponent with its coefficient, where the
+                # residue of w mod b puts them
                 v = winding_violation(a, b, w, h)
-                if r == 1:
-                    ok = (
-                        v.kind == "magnitude_violation"
-                        and v.exponent == top - w
-                        and abs(v.coefficient) == 2
-                        and scan.verdict == "fails_magnitude"
-                        and scan.witness_exponent == top - w
-                    )
+                if w % b == 1:
+                    where = ("fails_magnitude", [top - w])
                 else:
-                    pair = (top - (w // b) * b - 1, top - w)
-                    ok = (
-                        v.kind == "same_sign_violation"
-                        and v.exponent_pair == pair
-                        and scan.verdict == "fails_alternation"
-                        and scan.witness_exponent == pair[0]
-                    )
-                if not ok:
-                    failures.append((a, b, w, cp, cq, v.kind, scan.verdict))
+                    where = ("fails_alternation", [top - (w // b) * b - 1, top - w])
+                if v != scan or (v.verdict, [e for e, _ in v.witness]) != where:
+                    failures.append((a, b, w, cp, cq, v, scan))
     finish(4, "winding witness predictions vs full-product scans", failures, start, 60.0)
 
 
@@ -154,9 +144,9 @@ def test_criterion_5_obstruction_sweep():
             for comp in companions:
                 res = torus_satellite_obstruction(a, b, w, comp)
                 total += 1
-                expected = "magnitude_violation" if w % b == 1 else "same_sign_violation"
-                if res.kind != expected:
-                    failures.append((a, b, w, res.kind))
+                expected = "fails_magnitude" if w % b == 1 else "fails_alternation"
+                if res.verdict != expected:
+                    failures.append((a, b, w, res.verdict))
     if total == 0:
         failures.append("empty sweep")
     finish(5, f"w^2 | ab sweep never unobstructed ({total} configs)", failures, start, 60.0)

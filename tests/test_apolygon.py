@@ -1,8 +1,10 @@
 """Two-variable polynomials, Newton polygons, thinness, and torus knot
 detection from enhanced A-polynomials."""
 
+import cmath
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -275,8 +277,16 @@ class TestDetection:
         assert not detect_with_degree(BiPoly.parse("1"), 2).is_unknot
 
     def test_degree_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
             detect_with_degree(BiPoly.parse("1"), -2)
+
+    @pytest.mark.parametrize("degree", [False, True, 2.0, 2.5, None, "2"])
+    def test_degree_rejects_what_is_not_an_int(self, degree):
+        # a bool or a float must not pass for the degree: False read as 0
+        # once matched the unknot, and 2.0 as 2 matched T(3,2)
+        for text in ("1", "1 + M^6*L"):
+            with pytest.raises(ValueError, match=r"^degree must be an integer, got "):
+                detect_with_degree(BiPoly.parse(text), degree)
 
     def test_degree_always_at_most_one(self):
         # (|a|-1)(b-1) separates every coprime factorization pair
@@ -336,26 +346,53 @@ class TestDetectability:
 class TestFigureEightControl:
     """A hyperbolic knot is no torus knot: the A-polynomial of the figure-eight
     knot 4_1 (Cooper, Culler, Gillet, Long and Shalen, Invent. Math. 118,
-    1994), written M before L, matches no template."""
+    1994), written M before L, matches no template.  The tests trust APOLY
+    only once it vanishes on the knot group's representations."""
 
     APOLY = "M^4*L^2 - M^8*L + M^6*L + 2*M^4*L + M^2*L - L + M^4"
     # Hatcher and Thurston's boundary slopes of 4_1
     BOUNDARY_SLOPES = {0, 4, -4}
 
-    def test_newton_polygon_slopes_are_boundary_slopes(self):
-        npg = newton_polygon(BiPoly.parse(self.APOLY))
+    @staticmethod
+    def riley_values(terms):
+        """relative_value of terms at the (L, M) of each of 400 Riley
+        representations, 2 for each of 200 meridians drawn from the
+        annulus 1/2 <= |M| <= 2; each representation is checked first."""
+        rng = Random(4)
+        meridians = [
+            cmath.rect(rng.uniform(0.5, 2), rng.uniform(-math.pi, math.pi)) for _ in range(200)
+        ]
+        values = []
+        for m, l, residual in oracles.figure_eight_reps(meridians):
+            assert residual < 1e-9, (m, residual)
+            values.append(oracles.relative_value(terms, l, m))
+        assert len(values) == 400
+        return values
+
+    @pytest.fixture(scope="class")
+    def apoly(self):
+        assert max(self.riley_values(BiPoly.parse(self.APOLY).as_dict())) < 1e-9
+        return self.APOLY
+
+    def test_riley_check_catches_a_changed_coefficient(self):
+        terms = BiPoly.parse(self.APOLY).as_dict()
+        terms[(1, 4)] += 1  # 2*M^4*L becomes 3*M^4*L
+        assert min(self.riley_values(terms)) > 1e-3
+
+    def test_newton_polygon_slopes_are_boundary_slopes(self, apoly):
+        npg = newton_polygon(BiPoly.parse(apoly))
         assert npg.edge_slopes == (Fraction(-4), Fraction(4))
         assert set(npg.edge_slopes) <= self.BOUNDARY_SLOPES
-        assert thinness(BiPoly.parse(self.APOLY)).kind == "not_thin"
+        assert thinness(BiPoly.parse(apoly)).kind == "not_thin"
 
-    def test_no_torus_knot_matches(self):
-        f = BiPoly.parse(self.APOLY)
+    def test_no_torus_knot_matches(self, apoly):
+        f = BiPoly.parse(apoly)
         for r in (detect_torus_from_apoly(f), detect_with_degree(f, 2)):
             assert r.candidates == () and not r.is_unknot and not r.unique
 
-    def test_cli_text(self, run):
-        newton = run(["newton", self.APOLY])
+    def test_cli_text(self, run, apoly):
+        newton = run(["newton", apoly])
         assert newton.code == 0
         assert b"edge slopes: -4 4\n" in newton.out and b"thinness: not_thin\n" in newton.out
-        for argv in (["detect", self.APOLY], ["detect", "--degree", "2", self.APOLY]):
+        for argv in (["detect", apoly], ["detect", "--degree", "2", apoly]):
             assert run(argv) == (0, b"no match\n", b""), argv

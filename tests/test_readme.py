@@ -1,6 +1,7 @@
 """The README's examples run as written: every ``$ knotpoly ...``
 transcript prints the output shown under it, byte for byte, and the
-``python`` blocks run, in order, in one namespace."""
+``python`` blocks run, in order, in one namespace, each printing the
+``# `` lines it ends with."""
 
 import re
 import shlex
@@ -19,7 +20,7 @@ TRANSCRIPTS = [
 PYTHON = [body for lang, body in BLOCKS if lang == "python"]
 
 
-def test_readme_examples_run_as_shown(run):
+def test_readme_examples_run_as_shown(run, capsysbinary):
     # counted, so that a change to the fences cannot leave nothing to check
     assert (len(TRANSCRIPTS), len(PYTHON)) == (6, 2)
     for command, _, shown in TRANSCRIPTS:
@@ -28,3 +29,8 @@ def test_readme_examples_run_as_shown(run):
     namespace = {}
     for code in PYTHON:
         exec(code, namespace)
+        # the block's last lines, each "# " and a line the block prints
+        shown = re.search(r"(?:^# .*\n)*\Z", code, flags=re.M).group()
+        assert shown, code
+        printed = capsysbinary.readouterr().out.decode()
+        assert printed == re.sub(r"^# ", "", shown, flags=re.M), code

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from knotpoly import satellite
 from knotpoly.laurent import LaurentPoly
 from knotpoly.satellite import (
+    AdmissibilityReport,
     PredictionMismatch,
     check_companion,
     lspace_admissible,
@@ -26,9 +27,9 @@ def torus_poly(p, q):
     return alexander(TorusKnotSpec(p, q))
 
 
-def expected_kind(b, w):
+def expected_verdict(b, w):
     # the violation that the residue of w mod b (nonzero) forces
-    return "magnitude_violation" if w % b == 1 else "same_sign_violation"
+    return "fails_magnitude" if w % b == 1 else "fails_alternation"
 
 
 class TestSatelliteAlexanderArguments:
@@ -103,8 +104,7 @@ class TestSatelliteAlexander:
 class TestAdmissibility:
     def test_trefoil_admissible(self):
         rep = lspace_admissible(TREFOIL)
-        assert rep.ok and rep.verdict == "admissible"
-        assert rep.witness_exponent is None
+        assert rep.ok and rep == AdmissibilityReport("admissible", ())
 
     def test_all_torus_knots_admissible(self):
         from math import gcd
@@ -116,24 +116,20 @@ class TestAdmissibility:
 
     def test_square_fails_magnitude(self):
         rep = lspace_admissible(TREFOIL * TREFOIL)
-        assert rep.verdict == "fails_magnitude"
-        assert rep.witness_exponent == 1
-        assert rep.witness_coefficients == ((1, -2),)
+        assert not rep.ok
+        assert rep == AdmissibilityReport("fails_magnitude", ((1, -2),))
 
     def test_positional_scan_order(self):
         # same-sign pair at (5,4) sits above the magnitude hit at 3, so the
         # scan must report alternation first
         f = torus_poly(5, 3) * TREFOIL.dilate(2)
         rep = lspace_admissible(f)
-        assert rep.verdict == "fails_alternation"
-        assert rep.witness_exponent == 5
-        assert rep.witness_coefficients == ((5, -1), (4, -1))
+        assert rep == AdmissibilityReport("fails_alternation", ((5, -1), (4, -1)))
 
     def test_fails_top_two(self):
         f = LaurentPoly({2: 1, 0: -1, -2: 1})
         rep = lspace_admissible(f)
-        assert rep.verdict == "fails_top_two"
-        assert rep.witness_coefficients == ((2, 1), (1, 0))
+        assert rep == AdmissibilityReport("fails_top_two", ((2, 1), (1, 0)))
 
     def test_same_sign_top_pair(self):
         f = LaurentPoly({1: 1, 0: 1, -1: 1})
@@ -194,15 +190,11 @@ class TestAdmissibility:
 class TestWindingViolation:
     def test_magnitude_case_golden(self):
         v = winding_violation(7, 2, 3, 1)
-        assert v.kind == "magnitude_violation"
-        assert v.exponent == 3
-        assert v.coefficient == -2
+        assert v == AdmissibilityReport("fails_magnitude", ((3, -2),))
 
     def test_same_sign_case_golden(self):
         v = winding_violation(5, 3, 2, 1)
-        assert v.kind == "same_sign_violation"
-        assert v.exponent_pair == (5, 4)
-        assert v.coefficients == (-1, -1)
+        assert v == AdmissibilityReport("fails_alternation", ((5, -1), (4, -1)))
 
     def test_multiple_of_b_no_violation(self):
         # b | w leaves no residue witness to certify: winding_violation
@@ -214,8 +206,8 @@ class TestWindingViolation:
 
     def test_w_equals_one(self):
         v = winding_violation(3, 2, 1, 1)
-        assert v.kind == "magnitude_violation"
-        assert v.exponent == genus(TorusKnotSpec(3, 2)) + 1 - 1
+        assert v.verdict == "fails_magnitude"
+        assert v.witness[0][0] == genus(TorusKnotSpec(3, 2)) + 1 - 1
 
     def test_witness_against_dense_product(self):
         # witness values must be actual coefficients of the product, for
@@ -252,15 +244,14 @@ class TestWindingViolation:
                             pattern_dense, oracles.dilate_dict(comp_dense, w)
                         )
                         where = (a, b, w, comp)
+                        assert all(product[e] == c for e, c in v.witness), where
                         if w % b == 1:
-                            assert v.kind == "magnitude_violation", where
-                            assert product[v.exponent] == v.coefficient, where
-                            assert abs(v.coefficient) == 2, where
+                            assert v.verdict == "fails_magnitude", where
+                            ((_, c),) = v.witness
+                            assert abs(c) == 2, where
                         else:
-                            assert v.kind == "same_sign_violation", where
-                            e1, e2 = v.exponent_pair
-                            c1, c2 = v.coefficients
-                            assert product[e1] == c1 and product[e2] == c2, where
+                            assert v.verdict == "fails_alternation", where
+                            (e1, c1), (e2, c2) = v.witness
                             assert c1 * c2 > 0, where
                             assert all(
                                 product.get(e, 0) == 0 for e in range(e2 + 1, e1)
@@ -270,7 +261,7 @@ class TestWindingViolation:
 
     def test_genus_shifts_every_exponent_by_w(self):
         # the identity sweep obstruct relies on: genus h is genus 1 with each
-        # witness exponent raised by (h - 1)w, kind and coefficients kept
+        # witness exponent raised by (h - 1)w, verdict and coefficients kept
         from math import gcd
 
         seen = 0
@@ -284,15 +275,10 @@ class TestWindingViolation:
                     base = winding_violation(a, b, w, 1)
                     for h in range(1, 12):
                         k = (h - 1) * w
-                        v = winding_violation(a, b, w, h)
-                        assert (v.kind, v.coefficient, v.coefficients) == (
-                            base.kind, base.coefficient, base.coefficients
+                        shifted = tuple((e + k, c) for e, c in base.witness)
+                        assert winding_violation(a, b, w, h) == AdmissibilityReport(
+                            base.verdict, shifted
                         ), (a, b, w, h)
-                        if base.kind == "magnitude_violation":
-                            assert (v.exponent, v.exponent_pair) == (base.exponent + k, None)
-                        else:
-                            e1, e2 = base.exponent_pair
-                            assert (v.exponent, v.exponent_pair) == (None, (e1 + k, e2 + k))
                         seen += 1
         assert seen == 45_485  # 4,135 (a, b, w) rows, 11 genera each
 
@@ -312,7 +298,7 @@ class TestWindingViolation:
         # product's coefficient at e (a genus-1 companion's top term is +t) and moves no
         # other exponent of the window [top - w, top], so the witness
         # computed from the terms must disagree with the prediction.
-        assert winding_violation(a, b, w, 1).kind == expected_kind(b, w)
+        assert winding_violation(a, b, w, 1).verdict == expected_verdict(b, w)
         real = satellite._form_coefficient
         reads = []
 
@@ -335,7 +321,7 @@ class TestWindingViolation:
 
         monkeypatch.setattr(satellite, "_closed_form", counted)
         # r >= 2 reads both witnesses and every exponent between them
-        assert winding_violation(7, 4, 3, 1).kind == "same_sign_violation"
+        assert winding_violation(7, 4, 3, 1).verdict == "fails_alternation"
         assert forms == [(7, 4)]
 
     def test_witness_never_builds_the_pattern(self, monkeypatch):
@@ -346,12 +332,12 @@ class TestWindingViolation:
 
         monkeypatch.setattr(satellite, "alexander", refuse)
         for a, b, w in [(7, 2, 3), (5, 3, 2), (7, 4, 3)]:
-            assert winding_violation(a, b, w, 1).kind == expected_kind(b, w)
+            assert winding_violation(a, b, w, 1).verdict == expected_verdict(b, w)
         # a pattern far past alexander's MAX_TERMS costs what a small one does
         v = winding_violation(100003, 100002, 5, 1)
         g = 100002 * 100001 // 2
-        assert v.kind == "same_sign_violation"
-        assert v.exponent_pair == (g + 5 - 1, g + 5 - 5)
+        assert v.verdict == "fails_alternation"
+        assert [e for e, _ in v.witness] == [g + 5 - 1, g + 5 - 5]
         with pytest.raises(ValueError, match="no residue witness"):
             winding_violation(7, 2, 2, 1)
 
@@ -385,13 +371,13 @@ class TestWindingViolation:
 class TestObstruction:
     def test_obstructed_goldens(self):
         r = torus_satellite_obstruction(3, 2, 1, TREFOIL)
-        assert r.kind == "magnitude_violation"
+        assert r == AdmissibilityReport("fails_magnitude", ((1, -2),))
 
         r = torus_satellite_obstruction(8, 3, 2, TREFOIL)
-        assert r.kind == "same_sign_violation"
+        assert r == AdmissibilityReport("fails_alternation", ((8, -1), (7, -1)))
 
         r = torus_satellite_obstruction(9, 2, 3, TREFOIL)
-        assert r.kind == "magnitude_violation"
+        assert r == AdmissibilityReport("fails_magnitude", ((4, -2),))
 
     def test_precondition_rejects(self):
         with pytest.raises(ValueError):
@@ -417,15 +403,15 @@ class TestObstruction:
                     # the arithmetic that leaves no impossible configuration
                     assert w < a and w % b, (a, b, w)
                     r = torus_satellite_obstruction(a, b, w, TREFOIL)
-                    assert r.kind == expected_kind(b, w), (a, b, w, r.kind)
+                    assert r.verdict == expected_verdict(b, w), (a, b, w, r)
                     seen += 1
         assert seen > 20
 
 
 class TestScanAgreement:
     def test_violation_class_matches_admissibility_scan(self):
-        # the winding prediction and a cold admissibility scan of the
-        # product must name the same failure
+        # the winding prediction is the report a cold admissibility scan of
+        # the product gives: the same verdict and the same witness terms
         from math import gcd
 
         for a in range(3, 12):
@@ -440,13 +426,8 @@ class TestScanAgreement:
                         assert rep.ok, (a, b, w)
                         continue
                     v = winding_violation(a, b, w, 1)
-                    assert v.kind == expected_kind(b, w), (a, b, w)
-                    if v.kind == "magnitude_violation":
-                        assert rep.verdict == "fails_magnitude", (a, b, w)
-                        assert rep.witness_exponent == v.exponent
-                    else:
-                        assert rep.verdict == "fails_alternation", (a, b, w)
-                        assert rep.witness_exponent == v.exponent_pair[0]
+                    assert v.verdict == expected_verdict(b, w), (a, b, w)
+                    assert v == rep, (a, b, w)
 
     def test_prediction_mismatch_is_exported(self):
         assert issubclass(PredictionMismatch, RuntimeError)

@@ -26,12 +26,7 @@ from knotpoly.repglue import (
     sample_instance,
     verify_extension,
 )
-from knotpoly.satellite import (
-    AdmissibilityReport,
-    WindingCheck,
-    lspace_admissible,
-    winding_violation,
-)
+from knotpoly.satellite import AdmissibilityReport, lspace_admissible
 from knotpoly.torusknot import TorusKnotSpec, alexander
 
 TREFOIL = alexander(TorusKnotSpec(3, 2))
@@ -48,7 +43,6 @@ ALL = {
     "ThinnessResult": thinness(APOLY),
     "DetectionResult": detect_torus_from_apoly(APOLY),
     "AdmissibilityReport": lspace_admissible(TREFOIL * TREFOIL),
-    "WindingCheck": winding_violation(7, 2, 3, 1),
     "Mat2C": Mat2C(1, 2j, -0.5, 4),
     "GlueInstance": GLUE,
     "Extension": EXTENSION,
@@ -75,7 +69,9 @@ POSITIONAL = [name for name in ALL if "__init__" not in type(ALL[name]).__dict__
 
 
 def test_positional_types():
-    assert POSITIONAL == ["NewtonPolygon", "DetectionResult", "Mat2C", "GlueInstance"]
+    assert POSITIONAL == [
+        "NewtonPolygon", "DetectionResult", "AdmissibilityReport", "Mat2C", "GlueInstance"
+    ]
 
 
 @pytest.mark.parametrize("name", POSITIONAL)
@@ -98,11 +94,6 @@ SIGNATURE_CALLS = [
      (Mat2C(1, 0, 0, 1), Mat2C(-1, 0, 0, -1), None)),
     (VerifyResult, ((0.0, 0.0, 0.0),), {}, ((0.0, 0.0, 0.0), None)),
     (VerifyResult, ((1.0, 0.0, 0.0),), {"failed_equation": 1}, ((1.0, 0.0, 0.0), 1)),
-    (AdmissibilityReport, ("admissible",), {}, ("admissible", None, ())),
-    (WindingCheck, ("magnitude_violation",), {"exponent": 4, "coefficient": -2},
-     ("magnitude_violation", 4, -2, None, None)),
-    (WindingCheck, ("same_sign_violation",), {"exponent_pair": (5, 2), "coefficients": (1, 1)},
-     ("same_sign_violation", None, None, (5, 2), (1, 1))),
     (ThinnessResult, ("point",), {}, ("point", None, False)),
     (ThinnessResult, ("thin",), {"slope": Fraction(3, 2)}, ("thin", Fraction(3, 2), False)),
     (ThinnessResult, ("not_thin",), {"infinite_slope": True}, ("not_thin", None, True)),
