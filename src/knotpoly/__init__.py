@@ -27,9 +27,11 @@ class _Frozen:
     """Base of the immutable value types: a subclass lists its fields in __slots__,
     and _Frozen.__init__(self, *values) is the one place that sets them, one value
     per field in __slots__ order, each through its slot descriptor's __set__ (bound
-    once per class in _setters).  A subclass with defaults, keywords or checks keeps
-    its own __init__ and ends it with that call.  Equality (same class, equal
-    _compared fields, all by default), hash, repr, copy and pickle read the fields.
+    once per class in _setters).  A subclass keeps its own __init__ only for checks
+    (LaurentPoly, BiPoly and TorusKnotSpec check or canonicalize their input) and
+    ends it with that call; every other value takes its fields positionally.
+    Equality (same class, equal _compared fields, all by default), hash, repr,
+    copy and pickle read the fields.
     LaurentPoly and BiPoly supply their own __hash__, since their one field is a dict."""
 
     __slots__ = ()

@@ -19,10 +19,6 @@ from collections.abc import Iterable, Mapping
 
 from . import _Frozen, join_terms, parse_terms
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 INFINITE_SLOPE = math.inf
 
 # a sign, then a coefficient, a power of M and a power of L, at least one
@@ -162,32 +158,28 @@ def newton_polygon(f: BiPoly) -> NewtonPolygon:
 
 
 class ThinnessResult(_Frozen):
-    """kind is one of "point", "thin", "not_thin".
+    """kind is one of "point", "thin", "not_thin"; slope is the slope of a
+    segment support: a Fraction when thin, INFINITE_SLOPE for a vertical
+    segment (kind not_thin), and None for a point or a polygon."""
 
-    thin carries the common rational slope; a vertical collinear support is
-    reported not_thin with infinite_slope set.
-    """
+    __slots__ = ("kind", "slope")
 
-    __slots__ = ("kind", "slope", "infinite_slope")
-
-    def __init__(self, kind: str, slope: Fraction | None = None, infinite_slope: bool = False):
-        _Frozen.__init__(self, kind, slope, infinite_slope)
+    @property
+    def infinite_slope(self) -> bool:
+        return self.slope is INFINITE_SLOPE
 
 
 def thinness(f: BiPoly) -> ThinnessResult:
     """Classify the support by its convex hull: a single point, a segment
-    (thin, unless it is vertical), or a polygon (not thin)."""
+    (thin with its slope, unless it is vertical: then not_thin with slope
+    INFINITE_SLOPE), or a polygon (not thin)."""
     if not f:
         raise ValueError("the zero polynomial has no Newton polygon")
     hull = _convex_hull(f.support())
-    if len(hull) == 1:
-        return ThinnessResult("point")
-    if len(hull) > 2:
-        return ThinnessResult("not_thin")
+    if len(hull) != 2:
+        return ThinnessResult("point" if len(hull) == 1 else "not_thin", None)
     slope = _edge_slope(*hull)
-    if slope is INFINITE_SLOPE:
-        return ThinnessResult("not_thin", infinite_slope=True)
-    return ThinnessResult("thin", slope=slope)
+    return ThinnessResult("not_thin" if slope is INFINITE_SLOPE else "thin", slope)
 
 
 # ------- Torus knot detection -------
@@ -286,9 +278,15 @@ def detect_with_degree(f: BiPoly, alexander_degree: int) -> DetectionResult:
 
 def detectability(k) -> bool:
     """Whether the enhanced A-polynomial alone pins down this torus knot:
-    true for two-strand knots and whenever both parameters are prime powers."""
+    true for two-strand knots and whenever both parameters are prime powers.
+    Raises ValueError when b > 2 and |a| (above b) is more than
+    MAX_FACTORIZED, the limit of trial division."""
     a, b = abs(k.a), k.b
-    return b == 2 or (_is_prime_power(a) and _is_prime_power(b))
+    if b == 2:
+        return True
+    if a > MAX_FACTORIZED:
+        raise ValueError(f"cannot factor {a}: more than the limit {MAX_FACTORIZED}")
+    return _is_prime_power(a) and _is_prime_power(b)
 
 
 def _is_prime_power(n: int) -> bool:

@@ -120,7 +120,7 @@ def newton(poly: str, fmt: str):
     npg = apolygon.newton_polygon(f)
     thin = apolygon.thinness(f)
     slopes = [str(s) for s in npg.edge_slopes]  # str(INFINITE_SLOPE) is "inf"
-    slope = None if thin.slope is None else str(thin.slope)
+    slope = str(thin.slope) if thin.kind == "thin" else None
     if thin.kind == "thin":
         verdict = f"thin slope={slope}"
     elif thin.infinite_slope:
@@ -267,7 +267,7 @@ def sweep_thinness(limit: int):
                     "a": k.a,
                     "b": k.b,
                     "kind": thin.kind,
-                    "slope": None if thin.slope is None else str(thin.slope),
+                    "slope": str(thin.slope) if thin.kind == "thin" else None,
                     "expected": str(expected),
                     "ok": ok,
                 }

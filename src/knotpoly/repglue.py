@@ -146,25 +146,21 @@ class Extension(_Frozen):
     """Constructed satellite peripheral images, unchecked until
     verify_extension computes their residuals.  A diagonal-case extension
     keeps the diagonal_polar_data it was built from (the root index k
-    among it) in polar; a Jordan-case one has polar None."""
+    among it) in polar; a Jordan-case one has polar None.  All three
+    fields are given, positionally: Extension(mu_p, lam_p, None)."""
 
     __slots__ = ("mu_p", "lam_p", "polar")
     # polar is derived from the instance, so it takes no part in equality,
     # and leaving the dict out keeps Extension hashable
     _compared = ("mu_p", "lam_p")
 
-    def __init__(self, mu_p: Mat2C, lam_p: Mat2C, polar: dict | None = None):
-        _Frozen.__init__(self, mu_p, lam_p, polar)
-
 
 class VerifyResult(_Frozen):
     """The residuals of the three defining equations, and the first one
-    over the tolerance (None when every residual is within it)."""
+    over the tolerance (None when every residual is within it), both
+    given positionally: VerifyResult(residuals, None) passes."""
 
     __slots__ = ("residuals", "failed_equation")
-
-    def __init__(self, residuals: tuple[float, ...], failed_equation: int | None = None):
-        _Frozen.__init__(self, residuals, failed_equation)
 
     @property
     def ok(self) -> bool:
@@ -233,13 +229,12 @@ def glue_instance(p: int, q: int, w: int, mu: Mat2C, lam: Mat2C) -> GlueInstance
 
 
 def choose_k(m: int, p: int, d: int) -> int:
-    """Smallest k >= 0 with m + p k = 0 (mod d); needs gcd(p, d) = 1."""
+    """Smallest k >= 0 with m + p k = 0 (mod d); needs gcd(p, d) = 1.
+    For d = 1 that is 0, as pow(p, -1, 1) is 0 for every p."""
     if d < 1:
         raise ValueError(f"modulus must be positive, got {d!r}")
     if math.gcd(p, d) != 1:
         raise ValueError(f"p = {p} is not invertible modulo d = {d}")
-    if d == 1:
-        return 0
     return (-m * pow(p, -1, d)) % d
 
 
@@ -312,7 +307,7 @@ def verify_extension(
     for i, r in enumerate(residuals, start=1):
         if not r <= tol:
             return VerifyResult(residuals, i)
-    return VerifyResult(residuals)
+    return VerifyResult(residuals, None)
 
 
 # ------- Randomized instance samplers -------

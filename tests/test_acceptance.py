@@ -213,8 +213,9 @@ def test_criterion_9_glue_residuals_and_perturbations():
                     mat = getattr(e, target)
                     bumped = replace(mat, **{entry: getattr(mat, entry) + 1e-3})
                     mutated = Extension(
-                        mu_p=bumped if target == "mu_p" else e.mu_p,
-                        lam_p=bumped if target == "lam_p" else e.lam_p,
+                        bumped if target == "mu_p" else e.mu_p,
+                        bumped if target == "lam_p" else e.lam_p,
+                        None,
                     )
                     total_perturbed += 1
                     if not verify_extension(g, mutated).ok:

@@ -163,6 +163,7 @@ class TestThinness:
     def test_vertical_not_thin(self):
         r = thinness(BiPoly.parse("1 + M^4"))
         assert r.kind == "not_thin" and r.infinite_slope
+        assert r.slope is INFINITE_SLOPE
 
     def test_triangle_not_thin(self):
         f = BiPoly({(0, 0): 1, (1, 0): 1, (1, 6): 1})
@@ -176,8 +177,10 @@ class TestThinness:
     def test_matches_brute_oracle(self, f):
         r = thinness(f)
         kind, slope, infinite_slope = oracles.thinness_brute(f.support())
-        assert (r.kind, r.slope, r.infinite_slope) == (kind, slope, infinite_slope)
-        assert type(r.slope) is type(slope)
+        # the oracle reports a vertical segment's slope as None
+        r_slope = None if r.infinite_slope else r.slope
+        assert (r.kind, r_slope, r.infinite_slope) == (kind, slope, infinite_slope)
+        assert type(r_slope) is type(slope)
 
     def test_sweep_slope_equals_product(self):
         for p in range(3, 15):
@@ -315,6 +318,16 @@ class TestDetectability:
                     k = TorusKnotSpec(a, q)
                     r = detect_torus_from_apoly(enhanced_apoly(k))
                     assert detectability(k) == r.unique, (a, q)
+
+    def test_refuses_a_parameter_above_the_factoring_limit(self):
+        # trial division of 2^61 - 1 would take about 1.5e9 steps
+        with pytest.raises(ValueError, match="more than the limit"):
+            detectability(TorusKnotSpec(2**61 - 1, 3))
+        with pytest.raises(ValueError, match="more than the limit"):
+            detectability(TorusKnotSpec(-(MAX_FACTORIZED + 1), 3))
+        assert detectability(TorusKnotSpec(MAX_FACTORIZED, 3)) is False  # 2^12 5^12
+        assert detectability(TorusKnotSpec(2**61 - 1, 2))
+        assert detectability(TorusKnotSpec(999_983, 3))
 
     def test_prime_power_condition(self):
         # b > 2 and |a| > 2: detectable iff both are prime powers

@@ -3,8 +3,9 @@
 The benchmark in ``perfbench/`` records, for each CLI invocation a
 workload can run, the exit code and the SHA-256 of stdout
 (``perfbench/goldens.json``).  This runs every tiny-size invocation, the
-full-size obstruction sweep and two full-size glue sweeps in process and
-compares; nothing under ``perfbench/`` is written.
+full-size obstruction sweep, two full-size glue sweeps and the 32
+full-size large ``alexander`` queries in process and compares; nothing
+under ``perfbench/`` is written.
 """
 
 import hashlib
@@ -23,6 +24,11 @@ _RECORDED = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))
 GOLDENS = _RECORDED["invocations"]
 GLUE_ABORTS = _RECORDED["glue_aborts"]["full"]
 INVOCATIONS = workloads.all_invocations("tiny")
+# query-mix's large queries: T(p, p - 3) for 300 <= p < 324, 3 not dividing p,
+# each as text and as JSON
+LARGE_QUERIES = [
+    args for p, q in workloads.LARGE_KNOTS["full"] for args in workloads._large_variants(p, q)
+]
 
 
 def replay(run, args):
@@ -56,4 +62,12 @@ def test_full_glue_sweep_matches_golden(run, cli_seed):
     args = ("sweep", "glue", "--per-case", str(per_case), "--seed", str(cli_seed))
     golden = GOLDENS[workloads.key(args)]
     assert golden["exit"] == 0 and golden["records"] == 3 * per_case
+    assert replay(run, args) == (0, golden["sha256"])
+
+
+@pytest.mark.parametrize("args", LARGE_QUERIES, ids=workloads.key)
+def test_full_large_alexander_query_matches_golden(run, args):
+    assert len(LARGE_QUERIES) == 32
+    golden = GOLDENS[workloads.key(args)]
+    assert golden["exit"] == 0 and golden["records"] == 1
     assert replay(run, args) == (0, golden["sha256"])

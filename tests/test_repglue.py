@@ -50,7 +50,7 @@ class TestMat2C:
         # the whole-matrix versions live in tests/oracles.py
         for name in ("__mul__", "inverse", "identity"):
             assert not hasattr(Mat2C, name), name
-        assert not hasattr(repglue.VerifyResult((0.0, 0.0, 0.0)), "residual")
+        assert not hasattr(repglue.VerifyResult((0.0, 0.0, 0.0), None), "residual")
 
     def test_pow(self):
         m = Mat2C(1, 1, 0, 1)
@@ -291,6 +291,8 @@ class TestChooseK:
         assert choose_k(2, 5, 3) == 2
         assert choose_k(0, 7, 5) == 0
         assert choose_k(5, 1, 1) == 0
+        # d = 1: pow(p, -1, 1) is 0, so every residue class is k = 0
+        assert choose_k(4, 0, 1) == 0
 
     def test_matches_brute_oracle(self):
         for d in range(1, 40):
@@ -438,8 +440,9 @@ class TestPerturbation:
                     mat = getattr(e, target)
                     bumped = replace(mat, **{entry: getattr(mat, entry) + 1e-3})
                     mutated = Extension(
-                        mu_p=bumped if target == "mu_p" else e.mu_p,
-                        lam_p=bumped if target == "lam_p" else e.lam_p,
+                        bumped if target == "mu_p" else e.mu_p,
+                        bumped if target == "lam_p" else e.lam_p,
+                        None,
                     )
                     res = verify_extension(g, mutated)
                     assert not res.ok, (kind, target, entry)
@@ -449,7 +452,7 @@ class TestPerturbation:
         g = glue_instance(3, 1, 2, diag(2, 0.5), diag(0.125, 8))
         e = construct_extension(g)
         bumped = replace(e.lam_p, d=e.lam_p.d + 1e-3)
-        mutated = Extension(e.mu_p, bumped)
+        mutated = Extension(e.mu_p, bumped, None)
         res = verify_extension(g, mutated)
         assert not res.ok
         # both the longitude equation and the surgery relation go bad
@@ -460,14 +463,14 @@ class TestPerturbation:
         g = glue_instance(3, 1, 2, diag(2, 0.5), diag(0.125, 8))
         e = construct_extension(g)
         bumped = replace(e.lam_p, d=e.lam_p.d + 1e-3)
-        mutated = Extension(e.mu_p, bumped)
+        mutated = Extension(e.mu_p, bumped, None)
         assert verify_extension(g, mutated, tol=1.0).ok
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_residual_fails(self, bad):
         g = glue_instance(3, 1, 2, diag(2, 0.5), diag(0.125, 8))
         e = construct_extension(g)
-        mutated = Extension(replace(e.mu_p, a=bad), e.lam_p)
+        mutated = Extension(replace(e.mu_p, a=bad), e.lam_p, None)
         res = verify_extension(g, mutated)
         assert res.ok is False
         assert res.failed_equation == 1
@@ -477,7 +480,7 @@ class TestPerturbation:
         # with w = 1, mu_p ** w keeps entry a finite unless the NaN is there
         g = glue_instance(3, 1, 1, diag(2, 0.5), diag(0.125, 8))
         e = construct_extension(g)
-        mutated = Extension(replace(e.mu_p, **{entry: math.nan}), e.lam_p)
+        mutated = Extension(replace(e.mu_p, **{entry: math.nan}), e.lam_p, None)
         res = verify_extension(g, mutated)
         assert res.ok is False
         assert res.failed_equation == 1
@@ -492,7 +495,7 @@ class TestPerturbation:
             e = construct_extension(g)
             untwisted = Mat2C.upper(cmath.exp(1j * math.pi / g.w), -g.mu.b / g.w)
             assert (untwisted ** g.w).dist(g.mu) < 1e-12
-            res = verify_extension(g, Extension(untwisted, e.lam_p))
+            res = verify_extension(g, Extension(untwisted, e.lam_p, None))
             assert res.failed_equation == 1 and not res.ok
             assert verify_extension(g, e).ok
 
@@ -546,7 +549,7 @@ class TestResidualsMatchReference:
             expected = oracles.instance_residuals_reference(g.mu, g.lam, g.p, g.q)
             assert list(map(repr, seen)) == list(map(repr, expected)), g
             e = construct_extension(g)
-            bumped = Extension(e.mu_p, replace(e.lam_p, d=e.lam_p.d + 1e-3))
+            bumped = Extension(e.mu_p, replace(e.lam_p, d=e.lam_p.d + 1e-3), None)
             for ext in (e, bumped):
                 got = verify_extension(g, ext).residuals
                 expected = oracles.extension_residuals_reference(g, ext)
@@ -598,7 +601,7 @@ class TestResidualsMatchReference:
         while g.p >= 0:
             g = sample_instance("jordan_plus", rng)
         e = construct_extension(g)
-        singular = Extension(Mat2C(1, 2, 2, 4), e.lam_p)
+        singular = Extension(Mat2C(1, 2, 2, 4), e.lam_p, None)
         with pytest.raises(ZeroDivisionError):
             oracles.extension_residuals_reference(g, singular)
         with pytest.raises(ZeroDivisionError):

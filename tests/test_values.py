@@ -3,13 +3,13 @@ and pickling, the same for every one of them."""
 
 import copy
 import pickle
-from fractions import Fraction
 from random import Random
 
 import pytest
 
 from knotpoly import _Frozen, apolygon, laurent, repglue, satellite, torusknot  # noqa: F401
 from knotpoly.apolygon import (
+    INFINITE_SLOPE,
     BiPoly,
     DetectionResult,
     ThinnessResult,
@@ -70,7 +70,14 @@ POSITIONAL = [name for name in ALL if "__init__" not in type(ALL[name]).__dict__
 
 def test_positional_types():
     assert POSITIONAL == [
-        "NewtonPolygon", "DetectionResult", "AdmissibilityReport", "Mat2C", "GlueInstance"
+        "NewtonPolygon",
+        "ThinnessResult",
+        "DetectionResult",
+        "AdmissibilityReport",
+        "Mat2C",
+        "GlueInstance",
+        "Extension",
+        "VerifyResult",
     ]
 
 
@@ -88,15 +95,8 @@ def test_positional_types_take_one_value_per_field(name):
 
 
 # (type, positional arguments, keywords, every field) for the types that keep a
-# signature: the defaults and keywords their callers use
+# signature, LaurentPoly and BiPoly: the defaults and keywords their callers use
 SIGNATURE_CALLS = [
-    (Extension, (Mat2C(1, 0, 0, 1), Mat2C(-1, 0, 0, -1)), {},
-     (Mat2C(1, 0, 0, 1), Mat2C(-1, 0, 0, -1), None)),
-    (VerifyResult, ((0.0, 0.0, 0.0),), {}, ((0.0, 0.0, 0.0), None)),
-    (VerifyResult, ((1.0, 0.0, 0.0),), {"failed_equation": 1}, ((1.0, 0.0, 0.0), 1)),
-    (ThinnessResult, ("point",), {}, ("point", None, False)),
-    (ThinnessResult, ("thin",), {"slope": Fraction(3, 2)}, ("thin", Fraction(3, 2), False)),
-    (ThinnessResult, ("not_thin",), {"infinite_slope": True}, ("not_thin", None, True)),
     (LaurentPoly, (), {}, ({},)),
     (BiPoly, (), {}, ({},)),
 ]
@@ -173,20 +173,27 @@ def test_a_changed_field_breaks_equality():
 def test_extension_equality_ignores_polar():
     e = EXTENSION
     assert e.polar is not None
-    bare = Extension(e.mu_p, e.lam_p)
+    bare = Extension(e.mu_p, e.lam_p, None)
     assert bare.polar is None
     assert bare == e and hash(bare) == hash(e)
     other = Extension(e.mu_p, e.lam_p, {"k": -1})
     assert other == e and hash(other) == hash(e)
-    assert Extension(e.mu_p, e.lam_p.scaled(-1)) != e
+    assert Extension(e.mu_p, e.lam_p.scaled(-1), None) != e
 
 
 def test_verify_ok_is_read_from_failed_equation():
     residuals = (0.0, 2.0, 0.0)
-    assert VerifyResult(residuals).ok
+    assert VerifyResult(residuals, None).ok
     for n in (1, 2, 3):
         assert not VerifyResult(residuals, n).ok
     assert "ok" not in VerifyResult.__slots__
+
+
+def test_thinness_infinite_slope_is_read_from_slope():
+    assert ThinnessResult("not_thin", INFINITE_SLOPE).infinite_slope
+    assert not ThinnessResult("thin", 6).infinite_slope
+    assert not ThinnessResult("not_thin", None).infinite_slope
+    assert "infinite_slope" not in ThinnessResult.__slots__
 
 
 def test_detection_unique_is_read_from_candidates_and_unknot():
