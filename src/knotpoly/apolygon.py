@@ -21,23 +21,23 @@ from . import _Frozen, join_terms, parse_terms
 
 INFINITE_SLOPE = math.inf
 
-# a sign, then a coefficient, a power of M and a power of L, at least one
-# of them, in that order: "*" only joins a factor to a variable after it
+# a sign, then a coefficient and powers of M and L, at least one of them,
+# each variable at most once and in either order: "*" only joins a factor
+# to a variable after it
 _TERM = re.compile(
     r"([+-]?)(?:(\d+)(?:\*(?=[ML]))?)?"
-    r"(?:(M)(?:\^(-?\d+))?(?:\*(?=L))?)?(?:(L)(?:\^(-?\d+))?)?\Z"
+    r"(?:([ML])(?:\^(-?\d+))?(?:\*(?=[ML]))?)?(?:([ML])(?:\^(-?\d+))?)?\Z"
 )
 
 
 def _term(chunk: str) -> tuple[tuple[int, int], int]:
     m = _TERM.match(chunk)
-    if not m or not (m[2] or m[3] or m[5]):
+    if not m or not (m[2] or m[3]) or (m[5] and m[5] == m[3]):
         raise ValueError(f"cannot parse term {chunk!r}")
-    sign, coeff, has_m, m_exp, has_l, l_exp = m.groups()
+    sign, coeff, x, x_exp, y, y_exp = m.groups()
     c = int(coeff) if coeff else 1
-    me = (int(m_exp) if m_exp else 1) if has_m else 0
-    le = (int(l_exp) if l_exp else 1) if has_l else 0
-    return (le, me), -c if sign == "-" else c
+    exps = {v: int(e) if e else 1 for v, e in ((x, x_exp), (y, y_exp)) if v}
+    return (exps.get("L", 0), exps.get("M", 0)), -c if sign == "-" else c
 
 
 class BiPoly(_Frozen):

@@ -95,6 +95,12 @@ def torus_alexander_oracle(p: int, q: int) -> dict[int, int]:
     return {e - genus: c for e, c in quot.items() if c}
 
 
+def coprime_pairs(p_max: int) -> list[tuple[int, int]]:
+    """Every (p, q) with 2 <= q < p <= p_max and gcd(p, q) = 1, p ascending
+    and then q: one torus knot T(p, q) per mirror pair."""
+    return [(p, q) for p in range(3, p_max + 1) for q in range(2, p) if gcd(p, q) == 1]
+
+
 def dilate_dict(coeffs: dict[int, int], w: int) -> dict[int, int]:
     return {e * w: c for e, c in coeffs.items()}
 
@@ -492,6 +498,7 @@ def _selftest() -> None:
     assert admissible_bool(torus_alexander_oracle(4, 3))
     assert brute_k(1, 3, 4) == 1
     assert brute_k(2, 5, 3) == 2
+    assert coprime_pairs(5) == [(3, 2), (4, 3), (5, 2), (5, 3), (5, 4)]
     assert coprime_splits_brute(105) == [(3, 35), (5, 21), (7, 15)]
     assert coprime_splits_brute(75) == [(3, 25)]
     assert hull_is_valid([(0, 0), (2, 210)], [(0, 0), (2, 210)])

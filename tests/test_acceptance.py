@@ -49,13 +49,6 @@ def replace(value, **changes):
     return type(value)(*[changes.get(name, getattr(value, name)) for name in value.__slots__])
 
 
-def coprime_pairs(lo, hi):
-    for p in range(lo, hi + 1):
-        for q in range(2, p):
-            if math.gcd(p, q) == 1:
-                yield p, q
-
-
 def finish(num, label, failures, start, budget):
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < budget
@@ -77,7 +70,7 @@ def test_criterion_1_alexander_goldens():
 def test_criterion_2_leading_form_agreement():
     start = time.perf_counter()
     failures = []
-    for p, q in coprime_pairs(3, 40):
+    for p, q in oracles.coprime_pairs(40):
         k = TorusKnotSpec(p, q)
         g = genus(k)
         full = alexander(k)
@@ -91,7 +84,7 @@ def test_criterion_2_leading_form_agreement():
 def test_criterion_3_torus_admissibility():
     start = time.perf_counter()
     failures = []
-    for p, q in coprime_pairs(3, 40):
+    for p, q in oracles.coprime_pairs(40):
         rep = lspace_admissible(alexander(TorusKnotSpec(p, q)))
         if not rep.ok:
             failures.append((p, q, rep.verdict))
@@ -103,9 +96,9 @@ def test_criterion_4_winding_witness_machine_check():
     failures = []
     companions = [
         (cp, cq, alexander(TorusKnotSpec(cp, cq)), genus(TorusKnotSpec(cp, cq)))
-        for cp, cq in coprime_pairs(3, 10)
+        for cp, cq in oracles.coprime_pairs(10)
     ]
-    for a, b in coprime_pairs(3, 20):
+    for a, b in oracles.coprime_pairs(20):
         g = genus(TorusKnotSpec(a, b))
         pattern = alexander(TorusKnotSpec(a, b))
         for w in range(1, a):
@@ -135,12 +128,15 @@ def test_criterion_4_winding_witness_machine_check():
 def test_criterion_5_obstruction_sweep():
     start = time.perf_counter()
     failures = []
-    companions = [alexander(TorusKnotSpec(cp, cq)) for cp, cq in coprime_pairs(3, 10)]
+    companions = [alexander(TorusKnotSpec(cp, cq)) for cp, cq in oracles.coprime_pairs(10)]
     total = 0
-    for a, b in coprime_pairs(3, 20):
+    for a, b in oracles.coprime_pairs(20):
         for w in range(1, a):
             if (a * b) % (w * w):
                 continue
+            # the arithmetic that leaves no impossible configuration
+            if not (w < a and w % b):
+                failures.append((a, b, w, "impossible configuration"))
             for comp in companions:
                 res = torus_satellite_obstruction(a, b, w, comp)
                 total += 1
@@ -174,7 +170,7 @@ def test_criterion_6_detection_goldens():
 def test_criterion_7_thinness_sweep():
     start = time.perf_counter()
     failures = []
-    for p, q in coprime_pairs(3, 40):
+    for p, q in oracles.coprime_pairs(40):
         for a in (p, -p):
             k = TorusKnotSpec(a, q)
             res = thinness(enhanced_apoly(k))
@@ -186,7 +182,7 @@ def test_criterion_7_thinness_sweep():
 def test_criterion_8_detectability_cross_check():
     start = time.perf_counter()
     failures = []
-    for p, q in coprime_pairs(3, 40):
+    for p, q in oracles.coprime_pairs(40):
         for a in (p, -p):
             k = TorusKnotSpec(a, q)
             unique = detect_torus_from_apoly(enhanced_apoly(k)).unique
@@ -257,7 +253,7 @@ def test_criterion_11_abelian_surgeries():
 
     start = time.perf_counter()
     failures = []
-    knots = [TorusKnotSpec(a, b) for a, b in coprime_pairs(3, 20) if a * b <= 40]
+    knots = [TorusKnotSpec(a, b) for a, b in oracles.coprime_pairs(20) if a * b <= 40]
     slopes = [(p, q) for q in range(1, 9) for p in range(-60, 61) if math.gcd(p, q) == 1]
     for k in knots:
         mirror = TorusKnotSpec(-k.a, k.b)
@@ -291,7 +287,7 @@ def test_criterion_12_apoly_from_representations():
     start = time.perf_counter()
     failures = []
     worst = 0.0
-    knots = [TorusKnotSpec(a, b) for p, b in coprime_pairs(3, 75) if p * b <= 150 for a in (p, -p)]
+    knots = [TorusKnotSpec(a, b) for p, b in oracles.coprime_pairs(75) if p * b <= 150 for a in (p, -p)]
     for k in knots:
         derived, commutator = oracles.torus_apoly_oracle(k.a, k.b)
         worst = max(worst, commutator)

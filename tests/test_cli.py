@@ -140,7 +140,7 @@ class TestNewton:
         assert b"thinness: point" in r.out
 
     def test_parse_error(self, run):
-        r = run(["newton", "L*M"])
+        r = run(["newton", "M*M"])
         assert r.code == 1
         assert record(r)["error"]["kind"] == "ValueError"
 
@@ -218,6 +218,10 @@ class TestObstruct:
         [
             ("9", "0", "companion polynomial must be nonzero"),
             ("9", "-1", "companion polynomial must be positive at t = 1"),
+            ("9", "t - 2 + t^-1", "companion polynomial must be positive at t = 1"),
+            ("9", "t + t^-1", "companion polynomial must be admissible, but it fails_top_two"),
+            ("9", "2*t^2 - 3 + 2*t^-2",
+             "companion polynomial must be admissible, but it fails_magnitude"),
             ("9", "t^2", "companion polynomial must be symmetrized (equal to its mirror)"),
             # the pattern is checked before the companion
             ("7", "0", "w^2 = 9 does not divide ab = 14"),
@@ -746,6 +750,10 @@ class TestUsage:
                 ["detect", "-1+M^210*L^2", "--format", "json", "--degree", "68"],
             ),
             (["sweep", "thinness", "--max", "5"], ["sweep", "thinness", "--max=5"]),
+            # an omitted option prints what its default does
+            (["sweep", "obstruct"], ["sweep", "obstruct", "--a-max", "20", "--companion-max", "10"]),
+            (["glue-verify"], ["glue-verify", "--count", "200"]),
+            (["detect", "1 - L^2*M^36"], ["detect", "1 - M^36*L^2"]),
         ],
     )
     def test_options_before_or_after_positional(self, run, before, after):
@@ -862,6 +870,7 @@ COMMAND_IMPORTS = [
      {"laurent", "satellite", "torusknot"}),
     (["sweep", "thinness", "--max", "4"], {"apolygon", "torusknot"}),
     (["sweep", "glue", "--per-case", "1"], {"repglue"}),
+    (["detect", "--degree", "2", "1 + M^6*L"], {"apolygon", "torusknot"}),
 ]
 
 
@@ -922,52 +931,24 @@ class TestModuleEntry:
 
     @pytest.mark.parametrize("args,loaded", COMMAND_IMPORTS)
     def test_commands_import_only_what_they_use(self, args, loaded):
-        code = (
-            "import sys\n"
-            "from knotpoly.cli import main\n"
-            "main(sys.argv[1:])\n"  # [] exits 2 by design; only the imports count
-            "print(sorted(m for m in sys.modules if m.startswith('knotpoly.')))\n"
-        )
-        r = fresh(args, code)
-        out, err = r.communicate(timeout=60)
-        assert r.returncode == 0, err
-        modules = out.strip().splitlines()[-1]
-        assert modules == str(sorted(f"knotpoly.{m}" for m in {"cli", *loaded}))
-
-    @pytest.mark.parametrize("args", [args for args, _ in COMMAND_IMPORTS])
-    def test_commands_skip_typing(self, args):
-        # -S: a site .pth file may import typing before knotpoly does
-        code = (
-            "import sys\n"
-            "from knotpoly.cli import main\n"
-            "main(sys.argv[1:])\n"
-            "print('typing' in sys.modules)\n"
-        )
-        r = fresh(args, code, flags=["-S"])
-        out, err = r.communicate(timeout=60)
-        assert r.returncode == 0, err
-        assert out.strip().splitlines()[-1] == "False"
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["alexander", "T(5,2)"],
-            ["obstruct", "--a", "9", "--b", "4", "--w", "3", "--companion", "T(3,2)"],
-        ],
-    )
-    def test_queries_skip_fractions(self, args):
-        # only abelian_slope_family builds a Fraction, and no command calls it
+        # -S: a site .pth file may import typing before knotpoly does.  No
+        # command loads click, dataclasses or typing, and only newton and
+        # sweep thinness, which print slopes, load fractions
         code = (
             "import sys\n"
             "from knotpoly.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "assert code == 0, code\n"
-            "print('fractions' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('knotpoly.')\n"
+            "             or m in ('click', 'dataclasses', 'fractions', 'typing')))\n"
+            "sys.exit(code)\n"  # [] is a usage error, exit 2
         )
-        r = fresh(args, code)
+        r = fresh(args, code, flags=["-S"])
         out, err = r.communicate(timeout=60)
-        assert r.returncode == 0, err
-        assert out.strip().splitlines()[-1] == "False"
+        assert r.returncode == (0 if args else 2), err
+        modules = {f"knotpoly.{m}" for m in {"cli", *loaded}}
+        if args[:1] == ["newton"] or args[:2] == ["sweep", "thinness"]:
+            modules.add("fractions")
+        assert out.strip().splitlines()[-1] == str(sorted(modules))
 
     def test_piped_sweep_matches_in_process(self, run):
         # A stdout stream cached at import would miss the swap made by pytest's
@@ -982,34 +963,6 @@ class TestModuleEntry:
         assert piped.returncode == in_process.code == 0
         assert piped.stdout == in_process.out
         assert piped.stdout.count(b"\n") == 16
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["alexander", "T(5,2)"],
-            ["apoly", "T(5,3)"],
-            ["newton", "1 + M^6*L"],
-            ["detect", "--degree", "2", "1 + M^6*L"],
-            ["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(3,2)"],
-            ["sweep", "obstruct", "--a-max", "3", "--companion-max", "3"],
-            ["sweep", "glue", "--per-case", "1"],
-            ["glue-verify", "--count", "1"],
-        ],
-    )
-    def test_queries_never_import_click(self, args):
-        # nor dataclasses, and only newton, which prints slopes, loads fractions
-        code = (
-            "import sys\n"
-            "from knotpoly.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "assert code == 0, code\n"
-            "print([m in sys.modules for m in ('click', 'dataclasses', 'fractions')])\n"
-        )
-        r = fresh(args, code)
-        out, err = r.communicate(timeout=60)
-        assert r.returncode == 0, err
-        loaded = out.strip().splitlines()[-1]
-        assert loaded == str([False, False, args[0] == "newton"])
 
     def test_package_imports_only_the_standard_library(self):
         # knotpoly runs on a bare Python: every absolute import in the

@@ -140,6 +140,7 @@ class TestMat2C:
 
     def test_det_and_dist(self):
         assert Mat2C(2, 0, 0, 0.5).det() == 1
+        assert Mat2C(1, 2, 3, 4).det() == -2
         assert diag(1, 1).dist(diag(1, 1 + 3e-4)) == pytest.approx(3e-4)
 
     @pytest.mark.parametrize("entry", "abcd")
@@ -192,8 +193,10 @@ class TestClassifyCase:
             classify_case(diag(2, 2), diag(1, 1), w=1)
 
     def test_rejects_lower_triangular(self):
-        with pytest.raises(ValueError):
-            classify_case(Mat2C(2, 0, 1, 0.5), diag(1, 1), w=1)
+        # both have determinant 1, so the shape is what is refused
+        for mu in (Mat2C(2, 0, 1, 0.5), Mat2C(2, 1, 1, 1)):
+            with pytest.raises(ValueError, match=r"^mu must be in \(upper triangular\) Jordan"):
+                classify_case(mu, diag(1, 1), w=1)
 
     def test_rejects_identity_up_to_sign(self):
         with pytest.raises(ValueError):

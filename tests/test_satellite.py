@@ -106,14 +106,6 @@ class TestAdmissibility:
         rep = lspace_admissible(TREFOIL)
         assert rep.ok and rep == AdmissibilityReport("admissible", ())
 
-    def test_all_torus_knots_admissible(self):
-        from math import gcd
-
-        for p in range(3, 16):
-            for q in range(2, p):
-                if gcd(p, q) == 1:
-                    assert lspace_admissible(torus_poly(p, q)).ok, (p, q)
-
     def test_square_fails_magnitude(self):
         rep = lspace_admissible(TREFOIL * TREFOIL)
         assert not rep.ok
@@ -212,8 +204,6 @@ class TestWindingViolation:
     def test_witness_against_dense_product(self):
         # witness values must be actual coefficients of the product, for
         # every pattern T(a, b) with a <= 12 and every w with w % b != 0
-        from math import gcd
-
         seen = 0
         companions = [
             (comp, torus_poly(*comp), oracles.torus_alexander_oracle(*comp))
@@ -231,55 +221,47 @@ class TestWindingViolation:
         for comp, companion, comp_dense in companions:
             # the witness reads the companion only through its genus
             h = check_companion(companion)
-            for a in range(3, 13):
-                for b in range(2, a):
-                    if gcd(a, b) != 1:
+            for a, b in oracles.coprime_pairs(12):
+                pattern_dense = oracles.torus_alexander_oracle(a, b)
+                for w in range(1, a):
+                    if w % b == 0:
                         continue
-                    pattern_dense = oracles.torus_alexander_oracle(a, b)
-                    for w in range(1, a):
-                        if w % b == 0:
-                            continue
-                        v = winding_violation(a, b, w, h)
-                        product = oracles.mul_dicts(
-                            pattern_dense, oracles.dilate_dict(comp_dense, w)
-                        )
-                        where = (a, b, w, comp)
-                        assert all(product[e] == c for e, c in v.witness), where
-                        if w % b == 1:
-                            assert v.verdict == "fails_magnitude", where
-                            ((_, c),) = v.witness
-                            assert abs(c) == 2, where
-                        else:
-                            assert v.verdict == "fails_alternation", where
-                            (e1, c1), (e2, c2) = v.witness
-                            assert c1 * c2 > 0, where
-                            assert all(
-                                product.get(e, 0) == 0 for e in range(e2 + 1, e1)
-                            ), where
-                        seen += 1
+                    v = winding_violation(a, b, w, h)
+                    product = oracles.mul_dicts(
+                        pattern_dense, oracles.dilate_dict(comp_dense, w)
+                    )
+                    where = (a, b, w, comp)
+                    assert all(product[e] == c for e, c in v.witness), where
+                    if w % b == 1:
+                        assert v.verdict == "fails_magnitude", where
+                        ((_, c),) = v.witness
+                        assert abs(c) == 2, where
+                    else:
+                        assert v.verdict == "fails_alternation", where
+                        (e1, c1), (e2, c2) = v.witness
+                        assert c1 * c2 > 0, where
+                        assert all(
+                            product.get(e, 0) == 0 for e in range(e2 + 1, e1)
+                        ), where
+                    seen += 1
         assert seen > 500
 
     def test_genus_shifts_every_exponent_by_w(self):
         # the identity sweep obstruct relies on: genus h is genus 1 with each
         # witness exponent raised by (h - 1)w, verdict and coefficients kept
-        from math import gcd
-
         seen = 0
-        for a in range(3, 30):
-            for b in range(2, a):
-                if gcd(a, b) != 1:
+        for a, b in oracles.coprime_pairs(29):
+            for w in range(1, a):
+                if w % b == 0:
                     continue
-                for w in range(1, a):
-                    if w % b == 0:
-                        continue
-                    base = winding_violation(a, b, w, 1)
-                    for h in range(1, 12):
-                        k = (h - 1) * w
-                        shifted = tuple((e + k, c) for e, c in base.witness)
-                        assert winding_violation(a, b, w, h) == AdmissibilityReport(
-                            base.verdict, shifted
-                        ), (a, b, w, h)
-                        seen += 1
+                base = winding_violation(a, b, w, 1)
+                for h in range(1, 12):
+                    k = (h - 1) * w
+                    shifted = tuple((e + k, c) for e, c in base.witness)
+                    assert winding_violation(a, b, w, h) == AdmissibilityReport(
+                        base.verdict, shifted
+                    ), (a, b, w, h)
+                    seen += 1
         assert seen == 45_485  # 4,135 (a, b, w) rows, 11 genera each
 
     @pytest.mark.parametrize(
@@ -389,45 +371,7 @@ class TestObstruction:
         with pytest.raises(ValueError, match="must be admissible"):
             torus_satellite_obstruction(9, 2, 3, TREFOIL * TREFOIL)
 
-    def test_full_sweep_never_not_obstructed(self):
-        from math import gcd
-
-        seen = 0
-        for a in range(3, 16):
-            for b in range(2, a):
-                if gcd(a, b) != 1:
-                    continue
-                for w in range(1, a):
-                    if (a * b) % (w * w):
-                        continue
-                    # the arithmetic that leaves no impossible configuration
-                    assert w < a and w % b, (a, b, w)
-                    r = torus_satellite_obstruction(a, b, w, TREFOIL)
-                    assert r.verdict == expected_verdict(b, w), (a, b, w, r)
-                    seen += 1
-        assert seen > 20
-
 
 class TestScanAgreement:
-    def test_violation_class_matches_admissibility_scan(self):
-        # the winding prediction is the report a cold admissibility scan of
-        # the product gives: the same verdict and the same witness terms
-        from math import gcd
-
-        for a in range(3, 12):
-            for b in range(2, a):
-                if gcd(a, b) != 1:
-                    continue
-                for w in range(1, a):
-                    rep = lspace_admissible(satellite_alexander(torus_poly(a, b), TREFOIL, w))
-                    if w % b == 0:
-                        with pytest.raises(ValueError, match="no residue witness"):
-                            winding_violation(a, b, w, 1)
-                        assert rep.ok, (a, b, w)
-                        continue
-                    v = winding_violation(a, b, w, 1)
-                    assert v.verdict == expected_verdict(b, w), (a, b, w)
-                    assert v == rep, (a, b, w)
-
     def test_prediction_mismatch_is_exported(self):
         assert issubclass(PredictionMismatch, RuntimeError)
