@@ -2,6 +2,7 @@
 environment-variable defaults, and run-to-run determinism."""
 
 import ast
+import functools
 import itertools
 import json
 import math
@@ -874,6 +875,25 @@ COMMAND_IMPORTS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def probe(*args):
+    """Run the CLI on args once in a fresh ``python -S`` (a site .pth file
+    may import typing before knotpoly does); return its exit code and the
+    knotpoly, click, dataclasses, fractions and typing modules it loaded."""
+    code = (
+        "import sys\n"
+        "from knotpoly.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('knotpoly.')\n"
+        "             or m in ('click', 'dataclasses', 'fractions', 'typing')))\n"
+        "sys.exit(code)\n"
+    )
+    r = fresh(args, code, flags=["-S"])
+    out, err = r.communicate(timeout=60)
+    assert out.strip(), err
+    return r.returncode, frozenset(ast.literal_eval(out.strip().splitlines()[-1]))
+
+
 class TestModuleEntry:
     def test_package_exports_resolve_lazily(self):
         import importlib.util
@@ -931,24 +951,52 @@ class TestModuleEntry:
 
     @pytest.mark.parametrize("args,loaded", COMMAND_IMPORTS)
     def test_commands_import_only_what_they_use(self, args, loaded):
-        # -S: a site .pth file may import typing before knotpoly does.  No
-        # command loads click, dataclasses or typing, and only newton and
+        # no command loads click, dataclasses or typing, and only newton and
         # sweep thinness, which print slopes, load fractions
-        code = (
-            "import sys\n"
-            "from knotpoly.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(sorted(m for m in sys.modules if m.startswith('knotpoly.')\n"
-            "             or m in ('click', 'dataclasses', 'fractions', 'typing')))\n"
-            "sys.exit(code)\n"  # [] is a usage error, exit 2
-        )
-        r = fresh(args, code, flags=["-S"])
-        out, err = r.communicate(timeout=60)
-        assert r.returncode == (0 if args else 2), err
-        modules = {f"knotpoly.{m}" for m in {"cli", *loaded}}
+        code, modules = probe(*args)
+        assert code == (0 if args else 2)  # [] is a usage error
+        expected = {f"knotpoly.{m}" for m in {"cli", *loaded}}
         if args[:1] == ["newton"] or args[:2] == ["sweep", "thinness"]:
-            modules.add("fractions")
-        assert out.strip().splitlines()[-1] == str(sorted(modules))
+            expected.add("fractions")
+        assert modules == expected
+
+    @pytest.mark.parametrize("args", [args for args, _ in COMMAND_IMPORTS])
+    def test_commands_skip_typing(self, args):
+        assert "typing" not in probe(*args)[1]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["alexander", "T(5,2)"],
+            ["obstruct", "--a", "9", "--b", "4", "--w", "3", "--companion", "T(3,2)"],
+        ],
+    )
+    def test_queries_skip_fractions(self, args):
+        # only abelian_slope_family builds a Fraction, and no command calls it
+        code, modules = probe(*args)
+        assert code == 0
+        assert "fractions" not in modules
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["alexander", "T(5,2)"],
+            ["apoly", "T(5,3)"],
+            ["newton", "1 + M^6*L"],
+            ["detect", "--degree", "2", "1 + M^6*L"],
+            ["obstruct", "--a", "9", "--b", "2", "--w", "3", "--companion", "T(3,2)"],
+            ["sweep", "obstruct", "--a-max", "3", "--companion-max", "3"],
+            ["sweep", "glue", "--per-case", "1"],
+            ["glue-verify", "--count", "1"],
+        ],
+    )
+    def test_queries_never_import_click(self, args):
+        # nor dataclasses, and only newton, which prints slopes, loads fractions
+        code, modules = probe(*args)
+        assert code == 0
+        assert [m in modules for m in ("click", "dataclasses", "fractions")] == [
+            False, False, args[0] == "newton"
+        ]
 
     def test_piped_sweep_matches_in_process(self, run):
         # A stdout stream cached at import would miss the swap made by pytest's

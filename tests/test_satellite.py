@@ -371,6 +371,19 @@ class TestObstruction:
         with pytest.raises(ValueError, match="must be admissible"):
             torus_satellite_obstruction(9, 2, 3, TREFOIL * TREFOIL)
 
+    def test_full_sweep_never_not_obstructed(self):
+        seen = 0
+        for a, b in oracles.coprime_pairs(15):
+            for w in range(1, a):
+                if (a * b) % (w * w):
+                    continue
+                # the arithmetic that leaves no impossible configuration
+                assert w < a and w % b, (a, b, w)
+                r = torus_satellite_obstruction(a, b, w, TREFOIL)
+                assert r.verdict == expected_verdict(b, w), (a, b, w, r)
+                seen += 1
+        assert seen > 20
+
 
 class TestScanAgreement:
     def test_prediction_mismatch_is_exported(self):
