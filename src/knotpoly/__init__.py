@@ -117,6 +117,7 @@ _EXPORTS = {
         "detect_torus_from_apoly",
         "detect_with_degree",
         "detectability",
+        "enhanced_apoly",
         "newton_polygon",
         "thinness",
     ),
@@ -146,7 +147,6 @@ _EXPORTS = {
         "TorusKnotSpec",
         "abelian_slope_family",
         "alexander",
-        "enhanced_apoly",
         "genus",
         "leading_form",
         "parse_spec",

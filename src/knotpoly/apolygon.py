@@ -1,4 +1,4 @@
-"""Newton polygons of two-variable (L, M) polynomials and torus knot detection.
+"""Newton polygons, enhanced A-polynomials of torus knots, and their detection.
 
 A ``BiPoly`` is a sparse (l_exp, m_exp) -> coefficient map over the integers,
 normalized so the lexicographically smallest monomial has a positive
@@ -120,6 +120,8 @@ def _cross(o, a, b) -> int:
 
 
 def _convex_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    if not points:
+        raise ValueError("the zero polynomial has no Newton polygon")
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -147,8 +149,6 @@ def _edge_slope(u: tuple[int, int], v: tuple[int, int]):
 
 def newton_polygon(f: BiPoly) -> NewtonPolygon:
     """Exact Newton polygon of a nonzero BiPoly."""
-    if not f:
-        raise ValueError("the zero polynomial has no Newton polygon")
     points = f.support()
     hull = _convex_hull(points)
     edges = zip(hull, hull[1:] + hull[:1]) if len(hull) > 1 else ()
@@ -173,8 +173,6 @@ def thinness(f: BiPoly) -> ThinnessResult:
     """Classify the support by its convex hull: a single point, a segment
     (thin with its slope, unless it is vertical: then not_thin with slope
     INFINITE_SLOPE), or a polygon (not thin)."""
-    if not f:
-        raise ValueError("the zero polynomial has no Newton polygon")
     hull = _convex_hull(f.support())
     if len(hull) != 2:
         return ThinnessResult("point" if len(hull) == 1 else "not_thin", None)
@@ -217,7 +215,7 @@ class DetectionResult(_Frozen):
         return self.is_unknot or len(self.candidates) == 1
 
 
-def template_terms(l_degree: int, mirrored: bool, m_exp: int) -> dict:
+def _template_terms(l_degree: int, mirrored: bool, m_exp: int) -> dict:
     """Terms of an enhanced A-polynomial template of torus knots T(a, b),
     in normalized sign: L-degree one for two-strand knots, with the
     L-monomial's coefficient +1, and two otherwise, with -1.  The M-power
@@ -227,6 +225,22 @@ def template_terms(l_degree: int, mirrored: bool, m_exp: int) -> dict:
     if mirrored:
         return {(0, m_exp): 1, (l_degree, 0): top}
     return {(0, 0): 1, (l_degree, m_exp): top}
+
+
+def enhanced_apoly(k) -> BiPoly:
+    """Enhanced A-polynomial of the torus knot T(a, b), from SL(2,C) reps: an
+    irreducible one sends the central x^a of <x, y | x^a = y^b> to eps*I,
+    eps = (-1)^k for x's eigenvalue angle pi*k/|a|, so the meridian and
+    longitude eigenvalues M, L satisfy L*M^(|a|b) = eps.  b = 2 meets only
+    eps = -1, giving 1 + L*M^(2|a|); b >= 3 meets both signs, giving
+    1 - L^2*M^(2|a|b).  The mirror (a < 0) takes L to 1/L, L-powers cleared.
+
+    >>> from knotpoly.torusknot import TorusKnotSpec
+    >>> print(enhanced_apoly(TorusKnotSpec(3, 2)), enhanced_apoly(TorusKnotSpec(-5, 3)), sep="; ")
+    1 + M^6*L; M^30 - L^2
+    """
+    l_degree = 1 if k.b == 2 else 2
+    return BiPoly(_template_terms(l_degree, k.a < 0, l_degree * abs(k.a) * k.b))
 
 
 def detect_torus_from_apoly(f: BiPoly) -> DetectionResult:
@@ -242,7 +256,7 @@ def detect_torus_from_apoly(f: BiPoly) -> DetectionResult:
     low, high = sorted(terms)
     for l_degree, mirrored in ((1, False), (1, True), (2, False), (2, True)):
         m_exp = low[1] if mirrored else high[1]
-        if terms != template_terms(l_degree, mirrored, m_exp):
+        if terms != _template_terms(l_degree, mirrored, m_exp):
             continue
         # The M-power over the L-degree is |a| * b, and b = 2 exactly for
         # the two-strand templates, which therefore pin the knot down.
@@ -267,7 +281,7 @@ def detect_with_degree(f: BiPoly, alexander_degree: int) -> DetectionResult:
         raise ValueError(f"degree must be an integer, got {alexander_degree!r}")
     if alexander_degree < 0:
         raise ValueError("degree must be nonnegative")
-    from .torusknot import genus  # loaded already by detect_torus_from_apoly
+    from .torusknot import genus  # deferred, as in detect_torus_from_apoly
 
     base = detect_torus_from_apoly(f)
     if base.is_unknot:

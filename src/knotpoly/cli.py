@@ -105,10 +105,10 @@ def alexander(knot: str, fmt: str):
 
 def apoly(knot: str, fmt: str):
     """Enhanced A-polynomial of a torus knot T(a,b)."""
-    from . import torusknot
+    from . import apolygon, torusknot
 
     k = torusknot.parse_spec(knot)
-    text = str(torusknot.enhanced_apoly(k))
+    text = str(apolygon.enhanced_apoly(k))
     return _lines(fmt, [text], {"knot": _spec_json(k), "apoly": text})
 
 
@@ -257,7 +257,7 @@ def sweep_thinness(limit: int):
     for big, small in _coprime_pairs(limit):
         for a in (big, -big):
             k = torusknot.TorusKnotSpec(a, small)
-            thin = apolygon.thinness(torusknot.enhanced_apoly(k))
+            thin = apolygon.thinness(apolygon.enhanced_apoly(k))
             expected = k.a * k.b
             ok = thin.kind == "thin" and thin.slope == expected
             total += 1

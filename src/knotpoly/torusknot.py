@@ -1,5 +1,5 @@
-"""Torus knot invariants: Alexander polynomials, genus, enhanced
-A-polynomials, and one of the two families of lens-space surgery slopes.
+"""Torus knot invariants: Alexander polynomials, genus, and one of the
+two families of lens-space surgery slopes.
 
 Specs are canonical with |a| > b >= 2 and the orientation sign carried on
 a, so T(a, b), T(b, a), and sign-scattered inputs all collapse to one
@@ -22,7 +22,6 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .apolygon import BiPoly
     from .laurent import LaurentPoly
 
 
@@ -150,23 +149,6 @@ def leading_form(k: TorusKnotSpec) -> LaurentPoly:
         terms[g - i * q] = 1
         terms[g - i * q - 1] = -1
     return LaurentPoly(terms)
-
-
-def enhanced_apoly(k: TorusKnotSpec) -> BiPoly:
-    """Enhanced A-polynomial of T(a, b), from SL(2,C) reps: an irreducible
-    one sends the central x^a of <x, y | x^a = y^b> to eps*I, eps = (-1)^k
-    for x's eigenvalue angle pi*k/|a|, so the meridian and longitude
-    eigenvalues M, L satisfy L*M^(|a|b) = eps.  b = 2 meets only eps = -1,
-    giving 1 + L*M^(2|a|); b >= 3 meets both signs, giving
-    1 - L^2*M^(2|a|b).  The mirror (a < 0) takes L to 1/L, L-powers cleared.
-
-    >>> print(enhanced_apoly(TorusKnotSpec(3, 2)), enhanced_apoly(TorusKnotSpec(-5, 3)), sep="; ")
-    1 + M^6*L; M^30 - L^2
-    """
-    from .apolygon import BiPoly, template_terms
-
-    l_degree = 1 if k.b == 2 else 2
-    return BiPoly(template_terms(l_degree, k.a < 0, l_degree * abs(k.a) * k.b))
 
 
 def abelian_slope_family(k: TorusKnotSpec, n_max: int) -> tuple[list[Fraction], int]:

@@ -13,6 +13,7 @@ from knotpoly.apolygon import (
     detect_torus_from_apoly,
     detect_with_degree,
     detectability,
+    enhanced_apoly,
     thinness,
 )
 from knotpoly.repglue import (
@@ -33,7 +34,6 @@ from knotpoly.torusknot import (
     TorusKnotSpec,
     abelian_slope_family,
     alexander,
-    enhanced_apoly,
     genus,
     leading_form,
 )

@@ -19,10 +19,11 @@ from knotpoly.apolygon import (
     detect_torus_from_apoly,
     detect_with_degree,
     detectability,
+    enhanced_apoly,
     newton_polygon,
     thinness,
 )
-from knotpoly.torusknot import TorusKnotSpec, enhanced_apoly, genus
+from knotpoly.torusknot import TorusKnotSpec, genus
 
 import oracles
 
@@ -83,6 +84,10 @@ class TestBiPoly:
     def test_equality_up_to_sign(self):
         assert BiPoly({(0, 0): 1, (1, 4): -1}) == BiPoly({(0, 0): -1, (1, 4): 1})
 
+    def test_rejects_non_integer_exponent(self):
+        with pytest.raises(TypeError, match="^exponents and coefficients must be integers"):
+            BiPoly({(0, 1.5): 1})
+
 
 class TestNewtonPolygon:
     def test_segment(self):
@@ -113,8 +118,10 @@ class TestNewtonPolygon:
         assert npg.edge_slopes == (Fraction(0), INFINITE_SLOPE)
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            newton_polygon(BiPoly({}))
+        # both read the hull, which refuses an empty support
+        for classify in (newton_polygon, thinness):
+            with pytest.raises(ValueError, match="^the zero polynomial has no Newton polygon$"):
+                classify(BiPoly())
 
     @given(nonzero_bipolys)
     @settings(max_examples=200)

@@ -915,6 +915,11 @@ class TestModuleEntry:
         assert knotpoly.repglue is repglue
         with pytest.raises(AttributeError):
             knotpoly.no_such_name
+        # in a fresh interpreter no submodule is loaded yet, so the attribute
+        # reaches __getattr__, which imports the submodule
+        r = fresh([], "import sys, knotpoly; print('knotpoly.repglue' in sys.modules, knotpoly.repglue.__name__)")
+        out, err = r.communicate(timeout=60)
+        assert out == "False knotpoly.repglue\n", err
 
     def test_callback_writes_every_line_and_returns_the_code(self, run, capsysbinary):
         # the benchmark's tracer times each leaf's callback: a command's work
@@ -1014,20 +1019,36 @@ class TestModuleEntry:
 
     def test_package_imports_only_the_standard_library(self):
         # knotpoly runs on a bare Python: every absolute import in the
-        # package names a standard library module or the package itself
+        # package names a standard library module or the package itself.
+        # Its relative imports, deferred ones included, form no cycle
+        from graphlib import TopologicalSorter
+
         allowed = sys.stdlib_module_names | {"knotpoly"}
         paths = sorted(Path(knotpoly.__file__).parent.glob("*.py"))
         assert len(paths) >= 8
+        submodules = {path.stem for path in paths}
+        graph = {}
         for path in paths:
-            for node in ast.walk(ast.parse(path.read_text())):
+            text = path.read_text()
+            assert path.name == "apolygon.py" or "template_terms" not in text, path.name
+            imported = graph[path.stem] = set()
+            for node in ast.walk(ast.parse(text)):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
                     names = [node.module]
+                elif isinstance(node, ast.ImportFrom):
+                    # "from .m import x" loads m; "from . import m" loads m
+                    # when m is a submodule, and only the loaded package otherwise
+                    names = [node.module] if node.module else [a.name for a in node.names]
+                    imported.update(submodules.intersection(names))
+                    continue
                 else:
                     continue
                 for name in names:
                     assert name.split(".")[0] in allowed, (path.name, name)
+        TopologicalSorter(graph).prepare()  # raises CycleError, naming the cycle
+        assert knotpoly.enhanced_apoly is knotpoly.apolygon.enhanced_apoly
 
     def test_python_m_keeps_exit_codes(self):
         r = fresh(["alexander", "T(4,2)"])

@@ -34,6 +34,8 @@ class TestConstruction:
     def test_rejects_non_integer_coefficient(self):
         with pytest.raises(TypeError):
             LaurentPoly({0: 1.5})
+        with pytest.raises(TypeError, match="^exponent must be an integer"):
+            LaurentPoly({1.0: 1})
 
     def test_rejects_bool(self):
         with pytest.raises(TypeError):

@@ -211,10 +211,20 @@ class TestClassifyCase:
     def test_rejects_mismatched_jordan_diagonal(self):
         with pytest.raises(ValueError):
             classify_case(Mat2C(1, 1, 0, 1.5), diag(1, 1), w=1)
+        # determinant 1, but the diagonal is away from +-1, or each entry is
+        # within DEFAULT_TOL of 1 and the two are not within it of each other
+        with pytest.raises(ValueError, match=r"^a Jordan block in SL\(2,C\) must have eigenvalue \+-1$"):
+            classify_case(Mat2C(2, 1, 0, 0.5), diag(1, 1), w=1)
+        with pytest.raises(ValueError, match="^mu must be in Jordan normal form$"):
+            classify_case(Mat2C(1 + 9e-10, 1, 0, 1 - 9e-10), diag(1, 1), w=1)
 
     def test_rejects_bad_lam_eigenvalue(self):
         with pytest.raises(ValueError):
             classify_case(Mat2C(1, 1, 0, 1), diag(2, 0.5), w=1)
+        # Jordan-shaped with determinant 1, but with eigenvalue sqrt(2)
+        r2 = math.sqrt(2)
+        with pytest.raises(ValueError, match="^lam must have eigenvalue [+]-1 when mu is a Jordan block$"):
+            classify_case(Mat2C.upper(1, 0.5), Mat2C(r2, 1e10, 1e-10, r2), w=1)
 
 
 class TestGlueInstance:
@@ -397,6 +407,13 @@ class TestRandomizedSweep:
             g = sample_instance("diagonal", rng)
             e = construct_extension(g)
             assert 0 <= e.polar["k"] < g.d
+
+    def test_rejects_unknown_case_kind(self):
+        with pytest.raises(ValueError, match="^unknown case kind 'bogus'$"):
+            sample_instance("bogus", Random(0))
+        g = replace(sample_instance("diagonal", Random(0)), case="bogus")
+        with pytest.raises(ValueError, match="^unknown case kind 'bogus'$"):
+            construct_extension(g)
 
     def test_sampler_determinism(self):
         a = [sample_instance("diagonal", Random(5)) for _ in range(1)][0]

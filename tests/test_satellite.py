@@ -366,6 +366,11 @@ class TestObstruction:
             torus_satellite_obstruction(7, 2, 3, TREFOIL)
         with pytest.raises(ValueError):
             torus_satellite_obstruction(5, 2, 2, TREFOIL)
+        # a float winding number or pattern parameter, even an integral one
+        with pytest.raises(ValueError, match="^winding number must be an integer >= 1, got 3.0$"):
+            torus_satellite_obstruction(9, 2, 3.0, TREFOIL)
+        with pytest.raises(ValueError, match="^pattern parameters must be integers, got 9.0$"):
+            torus_satellite_obstruction(9.0, 2, 3, TREFOIL)
 
     def test_rejects_inadmissible_companion(self):
         with pytest.raises(ValueError, match="must be admissible"):

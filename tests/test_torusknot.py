@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from knotpoly.apolygon import BiPoly
+from knotpoly.apolygon import BiPoly, enhanced_apoly
 from knotpoly.laurent import LaurentPoly
 from knotpoly.torusknot import (
     TorusKnotSpec,
     abelian_slope_family,
     alexander,
-    enhanced_apoly,
     genus,
     leading_form,
     MAX_TERMS,
